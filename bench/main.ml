@@ -130,14 +130,22 @@ let core_tests =
             fun () ->
               incr i;
               ignore (Ffs.write_file fs (Printf.sprintf "/b/f%08d" !i) payload)));
+      (* C-FFS's aligned free-frame scan ([alloc_frame]) over a half-full
+         bitmap that sits in a cylinder-group header, as on disk. *)
       Test.make ~name:"bitmap_find_clear_run"
         (Staged.stage
-           (let b = Cffs_util.Bitmap.create 16384 in
+           (let base = Cffs.Csb.hdr_block_bitmap_off and bits = 16384 and gb = 16 in
+            let b = Bytes.make (base + (bits / 8)) '\000' in
             let prng = Cffs_util.Prng.create 5 in
             for _ = 0 to 8000 do
-              Cffs_util.Bitmap.set b (Cffs_util.Prng.int prng 16384)
+              Cffs_util.Bitmap.set b base (Cffs_util.Prng.int prng bits)
             done;
-            fun () -> ignore (Cffs_util.Bitmap.find_clear_run b ~hint:0 ~len:16)));
+            let rec scan off =
+              if off + gb > bits then None
+              else if Cffs_util.Bitmap.all_clear b base ~off ~len:gb then Some off
+              else scan (off + gb)
+            in
+            fun () -> ignore (scan 1)));
     ]
 
 let run_bechamel () =

@@ -104,6 +104,32 @@ let policy_conv =
   in
   Arg.conv (parse, print)
 
+(* Scheduler names through [Scheduler.policy_of_string], printed back via
+   [Scheduler.policy_name]. *)
+let sched_conv =
+  let module Scheduler = Cffs_disk.Scheduler in
+  let parse s =
+    match Scheduler.policy_of_string s with
+    | Some p -> Ok p
+    | None ->
+        Error (`Msg (Printf.sprintf "unknown scheduler %S; one of: fcfs, clook, sstf" s))
+  in
+  let print ppf p = Format.pp_print_string ppf (Scheduler.policy_name p) in
+  Arg.conv (parse, print)
+
+(* The two C-FFS configurations a command can be pointed at by name. *)
+let cffs_config_conv =
+  let parse s =
+    match String.lowercase_ascii s with
+    | "none" -> Ok Cffs.config_ffs_like
+    | "full" -> Ok Cffs.config_default
+    | _ -> Error (`Msg (Printf.sprintf "unknown config %S; one of: none, full" s))
+  in
+  let print ppf c =
+    Format.pp_print_string ppf (if c = Cffs.config_ffs_like then "none" else "full")
+  in
+  Arg.conv (parse, print)
+
 let policy_doc =
   "Cache write policy: write_through, sync_metadata, delayed, soft_updates \
    or journaled."
@@ -884,38 +910,27 @@ let stats_cmd =
 
 let trace_cmd =
   let module Otrace = Cffs_obs.Trace in
-  let run json cap ops seed config_str =
-    let config =
-      match String.lowercase_ascii config_str with
-      | "none" -> Some Cffs.config_ffs_like
-      | "full" -> Some Cffs.config_default
-      | _ -> None
+  let run json cap ops seed config =
+    let trace = Trace.synthesize ~ops ~seed () in
+    let inst =
+      Cffs_harness.Setup.instantiate
+        (Cffs_harness.Setup.standard (Cffs_harness.Setup.Cffs_fs config))
     in
-    match config with
-    | None ->
-        Printf.eprintf "unknown config %S; one of: none, full\n" config_str;
-        1
-    | Some config ->
-        let trace = Trace.synthesize ~ops ~seed () in
-        let inst =
-          Cffs_harness.Setup.instantiate
-            (Cffs_harness.Setup.standard (Cffs_harness.Setup.Cffs_fs config))
-        in
-        Otrace.set_capacity cap;
-        Otrace.set_enabled true;
-        let o = Trace.replay inst.Cffs_harness.Setup.env trace in
-        Otrace.set_enabled false;
-        let events = Otrace.events () in
-        if json then print_string (Otrace.to_json_lines ())
-        else begin
-          Printf.printf
-            "replayed %d operations in %.3f s simulated; ring holds %d/%d \
-             spans\n\n"
-            (List.length trace) o.Trace.measure.Cffs_workload.Env.seconds
-            (List.length events) (Otrace.capacity ());
-          List.iter (fun e -> Format.printf "%a@." Otrace.pp_event e) events
-        end;
-        0
+    Otrace.set_capacity cap;
+    Otrace.set_enabled true;
+    let o = Trace.replay inst.Cffs_harness.Setup.env trace in
+    Otrace.set_enabled false;
+    let events = Otrace.events () in
+    if json then print_string (Otrace.to_json_lines ())
+    else begin
+      Printf.printf
+        "replayed %d operations in %.3f s simulated; ring holds %d/%d \
+         spans\n\n"
+        (List.length trace) o.Trace.measure.Cffs_workload.Env.seconds
+        (List.length events) (Otrace.capacity ());
+      List.iter (fun e -> Format.printf "%a@." Otrace.pp_event e) events
+    end;
+    0
   in
   let json =
     Arg.(value & flag
@@ -932,7 +947,7 @@ let trace_cmd =
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
   let config =
-    Arg.(value & opt string "full"
+    Arg.(value & opt cffs_config_conv Cffs.config_default
          & info [ "config" ] ~docv:"CONFIG"
              ~doc:"File-system configuration: none or full (EI+EG).")
   in
@@ -1141,119 +1156,97 @@ let statbench_cmd =
 let mcbench_cmd =
   let module Mclient = Cffs_workload.Mclient in
   let module Scheduler = Cffs_disk.Scheduler in
-  let run json qdepth sched_str streams files file_bytes large_mb no_coalesce
-      config_str policy seed drives vol_layout =
-    let sched =
-      match String.lowercase_ascii sched_str with
-      | "fcfs" | "fifo" -> Some Scheduler.Fcfs
-      | "clook" | "c-look" -> Some Scheduler.Clook
-      | "sstf" -> Some Scheduler.Sstf
-      | _ -> None
+  let run json qdepth sched streams files file_bytes large_mb no_coalesce config
+      policy seed drives vol_layout =
+    let params =
+      {
+        Mclient.default_params with
+        Mclient.nstreams = streams;
+        files_per_stream = files;
+        file_bytes;
+        large_mb;
+        qdepth;
+        sched;
+        coalesce = not no_coalesce;
+        prng_seed = seed;
+      }
     in
-    let config =
-      match String.lowercase_ascii config_str with
-      | "none" -> Some Cffs.config_ffs_like
-      | "full" -> Some Cffs.config_default
-      | _ -> None
+    let inst =
+      Cffs_harness.Setup.instantiate
+        (Cffs_harness.Setup.standard ?policy ~drives ~vol_layout
+           (Cffs_harness.Setup.Cffs_fs config))
     in
-    match (sched, config) with
-    | None, _ ->
-        Printf.eprintf "unknown scheduler %S; one of: fcfs, clook, sstf\n"
-          sched_str;
-        1
-    | _, None ->
-        Printf.eprintf "unknown config %S; one of: none, full\n" config_str;
-        1
-    | Some sched, Some config ->
-        let params =
-          {
-            Mclient.default_params with
-            Mclient.nstreams = streams;
-            files_per_stream = files;
-            file_bytes;
-            large_mb;
-            qdepth;
-            sched;
-            coalesce = not no_coalesce;
-            prng_seed = seed;
-          }
-        in
-        let inst =
-          Cffs_harness.Setup.instantiate
-            (Cffs_harness.Setup.standard ?policy ~drives ~vol_layout
-               (Cffs_harness.Setup.Cffs_fs config))
-        in
-        let r =
-          Mclient.run ~params
-            ~cache:(Cffs_harness.Setup.cache_of inst)
-            inst.Cffs_harness.Setup.env
-        in
-        let spindles =
-          Volume.spindles inst.Cffs_harness.Setup.env.Cffs_workload.Env.dev
-        in
-        if json then
-          print_endline
-            (Cffs_obs.Json.to_string_pretty
-               (if drives <= 1 then Mclient.to_json r
-                else
-                  (* wrap only in multi-spindle mode so the single-drive
-                     shape stays what scripts already parse *)
-                  Cffs_obs.Json.Obj
-                    [
-                      ("drives", Cffs_obs.Json.Int drives);
-                      ( "vol_layout",
-                        Cffs_obs.Json.String (Volume.layout_name vol_layout) );
-                      ("result", Mclient.to_json r);
-                      ( "spindles",
-                        Cffs_obs.Json.List
-                          (List.map Cffs_harness.Telemetry.spindle_json
-                             spindles) );
-                    ]))
-        else begin
-          Printf.printf
-            "%s — %d small-file streams (%d x %d B) + %d MB sequential, \
-             qdepth %d, %s%s%s\n\n"
-            r.Mclient.label streams files file_bytes large_mb qdepth
-            (Mclient.sched_name sched)
-            (if not no_coalesce then " + coalescing" else "")
-            (if drives > 1 then
-               Printf.sprintf ", %d spindles (%s)" drives
-                 (Volume.layout_name vol_layout)
-             else "");
-          List.iter
-            (fun (s : Mclient.stream_result) ->
-              Printf.printf "  %-6s %6d ops %10d bytes %10.1f KB/s\n"
-                s.Mclient.stream s.Mclient.ops s.Mclient.bytes
-                s.Mclient.kb_per_sec)
-            r.Mclient.streams;
-          Printf.printf
-            "\n  aggregate: small %.1f KB/s (%.1f files/s), large %.1f KB/s, \
-             total %.1f KB/s in %.3f s\n"
-            r.Mclient.small_kb_per_sec r.Mclient.small_files_per_sec
-            r.Mclient.large_kb_per_sec r.Mclient.total_kb_per_sec
-            r.Mclient.measure.Cffs_workload.Env.seconds;
-          let f2 = function Some v -> Printf.sprintf "%.2f" v | None -> "n/a" in
-          let f0 = function Some v -> Printf.sprintf "%.0f" v | None -> "n/a" in
-          Printf.printf
-            "  queue: mean depth %s (max %s), wait mean %s ms p95 %s ms, %d \
-             dispatches (%d coalesced)\n"
-            (f2 r.Mclient.qdepth_mean) (f0 r.Mclient.qdepth_max)
-            (f2 r.Mclient.wait_mean_ms) (f2 r.Mclient.wait_p95_ms)
-            r.Mclient.dispatches r.Mclient.coalesced;
-          if spindles <> [] then begin
-            print_newline ();
-            List.iter
-              (fun (s : Volume.spindle) ->
-                Printf.printf
-                  "  spindle %d: %6d reads %6d writes, busy %8.3f s (seek \
-                   %.3f, rotation %.3f, transfer %.3f)\n"
-                  s.Volume.spindle s.Volume.s_reads s.Volume.s_writes
-                  s.Volume.s_busy_s s.Volume.s_seek_s s.Volume.s_rotation_s
-                  s.Volume.s_transfer_s)
-              spindles
-          end
-        end;
-        0
+    let r =
+      Mclient.run ~params
+        ~cache:(Cffs_harness.Setup.cache_of inst)
+        inst.Cffs_harness.Setup.env
+    in
+    let spindles =
+      Volume.spindles inst.Cffs_harness.Setup.env.Cffs_workload.Env.dev
+    in
+    if json then
+      print_endline
+        (Cffs_obs.Json.to_string_pretty
+           (if drives <= 1 then Mclient.to_json r
+            else
+              (* wrap only in multi-spindle mode so the single-drive
+                 shape stays what scripts already parse *)
+              Cffs_obs.Json.Obj
+                [
+                  ("drives", Cffs_obs.Json.Int drives);
+                  ( "vol_layout",
+                    Cffs_obs.Json.String (Volume.layout_name vol_layout) );
+                  ("result", Mclient.to_json r);
+                  ( "spindles",
+                    Cffs_obs.Json.List
+                      (List.map Cffs_harness.Telemetry.spindle_json
+                         spindles) );
+                ]))
+    else begin
+      Printf.printf
+        "%s — %d small-file streams (%d x %d B) + %d MB sequential, \
+         qdepth %d, %s%s%s\n\n"
+        r.Mclient.label streams files file_bytes large_mb qdepth
+        (Mclient.sched_name sched)
+        (if not no_coalesce then " + coalescing" else "")
+        (if drives > 1 then
+           Printf.sprintf ", %d spindles (%s)" drives
+             (Volume.layout_name vol_layout)
+         else "");
+      List.iter
+        (fun (s : Mclient.stream_result) ->
+          Printf.printf "  %-6s %6d ops %10d bytes %10.1f KB/s\n"
+            s.Mclient.stream s.Mclient.ops s.Mclient.bytes
+            s.Mclient.kb_per_sec)
+        r.Mclient.streams;
+      Printf.printf
+        "\n  aggregate: small %.1f KB/s (%.1f files/s), large %.1f KB/s, \
+         total %.1f KB/s in %.3f s\n"
+        r.Mclient.small_kb_per_sec r.Mclient.small_files_per_sec
+        r.Mclient.large_kb_per_sec r.Mclient.total_kb_per_sec
+        r.Mclient.measure.Cffs_workload.Env.seconds;
+      let f2 = function Some v -> Printf.sprintf "%.2f" v | None -> "n/a" in
+      let f0 = function Some v -> Printf.sprintf "%.0f" v | None -> "n/a" in
+      Printf.printf
+        "  queue: mean depth %s (max %s), wait mean %s ms p95 %s ms, %d \
+         dispatches (%d coalesced)\n"
+        (f2 r.Mclient.qdepth_mean) (f0 r.Mclient.qdepth_max)
+        (f2 r.Mclient.wait_mean_ms) (f2 r.Mclient.wait_p95_ms)
+        r.Mclient.dispatches r.Mclient.coalesced;
+      if spindles <> [] then begin
+        print_newline ();
+        List.iter
+          (fun (s : Volume.spindle) ->
+            Printf.printf
+              "  spindle %d: %6d reads %6d writes, busy %8.3f s (seek \
+               %.3f, rotation %.3f, transfer %.3f)\n"
+              s.Volume.spindle s.Volume.s_reads s.Volume.s_writes
+              s.Volume.s_busy_s s.Volume.s_seek_s s.Volume.s_rotation_s
+              s.Volume.s_transfer_s)
+          spindles
+      end
+    end;
+    0
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON.")
@@ -1263,7 +1256,7 @@ let mcbench_cmd =
          & info [ "qdepth" ] ~docv:"N" ~doc:"Tagged-queue window (depth).")
   in
   let sched =
-    Arg.(value & opt string "clook"
+    Arg.(value & opt sched_conv Scheduler.Clook
          & info [ "sched" ] ~docv:"POLICY"
              ~doc:"Queue scheduling policy: fcfs, clook or sstf.")
   in
@@ -1290,7 +1283,7 @@ let mcbench_cmd =
              ~doc:"Disable coalescing of adjacent queued requests.")
   in
   let config =
-    Arg.(value & opt string "none"
+    Arg.(value & opt cffs_config_conv Cffs.config_ffs_like
          & info [ "config" ] ~docv:"CONFIG"
              ~doc:
                "File-system configuration: none (no techniques) or full \

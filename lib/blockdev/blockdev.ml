@@ -1004,19 +1004,15 @@ let write t blk data =
   | Ok _ -> ()
   | Error e -> raise (Io_error.E e)
 
-let check_one_block t (blk, data) =
-  if Bytes.length data <> t.block_size then
-    invalid_arg "Blockdev.write_batch: data must be one block";
-  check_range t Io_error.Write blk 1
-
-let write_batch t blocks =
-  List.iter (check_one_block t) blocks;
-  issue_units t (List.map (fun (blk, data) -> (blk, [ data ])) blocks)
-
 let write_batch_units t units =
   List.iter
     (fun (start, blocks) ->
-      List.iteri (fun i data -> check_one_block t (start + i, data)) blocks)
+      List.iteri
+        (fun i data ->
+          if Bytes.length data <> t.block_size then
+            invalid_arg "Blockdev.write_batch_units: data must be one block";
+          check_range t Io_error.Write (start + i) 1)
+        blocks)
     units;
   issue_units t units
 

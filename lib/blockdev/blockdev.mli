@@ -181,19 +181,16 @@ val write : t -> int -> bytes -> unit
     as one request, synchronously.  Raises {!Cffs_util.Io_error.E} on
     out-of-bounds ranges and injected faults, like {!read}. *)
 
-val write_batch : t -> (int * bytes) list -> unit
-(** Write single blocks, one request each, issued in scheduler order.
-    Deliberately {e no} automatic coalescing: whether adjacent dirty blocks
-    travel as one request is a file-system policy (FFS clusters only
-    sequential blocks of one file; C-FFS also writes whole groups) — see
-    {!write_batch_units}. *)
-
 val write_batch_units : t -> (int * bytes list) list -> unit
 (** [write_batch_units t units] writes each unit — a physically contiguous
     run [(first_block, blocks)] — as a single scatter/gather request, in
-    scheduler order.  Each request persists as it is serviced, so an
-    injected fault mid-batch leaves exactly the already-serviced prefix on
-    the media and raises {!Cffs_util.Io_error.E}. *)
+    scheduler order.  Deliberately {e no} automatic coalescing between
+    units: whether adjacent dirty blocks travel as one request is a
+    file-system policy (FFS clusters only sequential blocks of one file;
+    C-FFS also writes whole groups), decided by how the caller forms the
+    units.  Each request persists as it is serviced, so an injected fault
+    mid-batch leaves exactly the already-serviced prefix on the media and
+    raises {!Cffs_util.Io_error.E}. *)
 
 val store_raw : t -> int -> bytes -> keep_sectors:int option -> unit
 (** [store_raw t blk data ~keep_sectors] deposits data directly in the

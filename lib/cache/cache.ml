@@ -139,10 +139,33 @@ let set_observer t f = t.observer <- f
 let notify t ev = match t.observer with None -> () | Some f -> f ev
 
 let device t = t.dev
-let set_integrity t ig = t.integ <- ig
 let integrity t = t.integ
-let set_journal t j = t.journal <- Some j
 let journal t = t.journal
+
+let with_layers ?policy dev ~capacity_blocks integ journal =
+  let t = create ?policy dev ~capacity_blocks in
+  t.integ <- integ;
+  t.journal <- journal;
+  t
+
+let usable_blocks dev = function
+  | Some ig -> Integrity.data_blocks ig
+  | None -> Blockdev.nblocks dev
+
+let format_stack ?policy ?(integrity = false) ?spare_blocks dev ~capacity_blocks =
+  let integ = if integrity then Some (Integrity.format ?spare_blocks dev) else None in
+  let usable = usable_blocks dev integ in
+  let journal =
+    if policy = Some Journaled then Some (Journal.format dev ~usable) else None
+  in
+  let fs_blocks = match journal with Some j -> Journal.fs_blocks j | None -> usable in
+  (with_layers ?policy dev ~capacity_blocks integ journal, fs_blocks)
+
+let mount_stack ?policy dev ~capacity_blocks =
+  let integ = Integrity.attach dev in
+  let journal = Journal.attach ?integ dev ~usable:(usable_blocks dev integ) in
+  let policy = if journal <> None then Some Journaled else policy in
+  with_layers ?policy dev ~capacity_blocks integ journal
 
 (* The journal only changes behaviour when both the policy and a log are
    in place; [Journaled] without a log degrades to [Delayed]. *)

@@ -37,8 +37,8 @@ type policy =
           sealed transaction — strictly after the barrier's data home-
           writes — and home-written lazily at checkpoints.  Mounting
           replays committed transactions, so every crash prefix recovers
-          to the last acknowledged sync.  Requires a {!Journal.t} attached
-          with {!set_journal}; without one the policy degrades to
+          to the last acknowledged sync.  Requires the journal that
+          {!format_stack} lays out; without one the policy degrades to
           [Delayed]. *)
 
 val policy_name : policy -> string
@@ -83,21 +83,39 @@ val create : ?policy:policy -> Cffs_blockdev.Blockdev.t -> capacity_blocks:int -
 val set_clusterer : t -> clusterer -> unit
 val device : t -> Cffs_blockdev.Blockdev.t
 
-val set_integrity : t -> Cffs_blockdev.Integrity.t option -> unit
-(** Route all device I/O through an integrity layer: misses become
+(** {1 The device stack}
+
+    Below every file system the device is laid out, in block order, as
+    [\[fs | journal | integrity region\]].  The integrity region
+    (checksums, bad-sector spares, metadata replicas) is optional; with
+    it, all device I/O goes through the integrity layer: misses become
     verified reads (a damaged block raises [Checksum_mismatch] → [EIO]),
     writebacks transparently remap sticky bad sectors, group reads degrade
     to per-block fetches when one member is damaged (only the damaged
     block's file sees [EIO], not the whole group), and {!flush} re-encodes
-    the at-rest checksum region as part of the sync barrier. *)
+    the at-rest checksum region as part of the sync barrier.  The journal
+    exists only under [Journaled]: it is the write-ahead log that policy
+    commits to. *)
+
+val format_stack :
+  ?policy:policy ->
+  ?integrity:bool ->
+  ?spare_blocks:int ->
+  Cffs_blockdev.Blockdev.t ->
+  capacity_blocks:int ->
+  t * int
+(** Lay out a fresh device: an integrity region when [integrity] (default
+    [false]; [spare_blocks] as in {!Cffs_blockdev.Integrity.format}), a
+    journal when [policy] is [Journaled].  Returns the cache over the
+    stack and the number of blocks [\[0, n)] left to the file system. *)
+
+val mount_stack : ?policy:policy -> Cffs_blockdev.Blockdev.t -> capacity_blocks:int -> t
+(** Attach the stack of a formatted device.  A detected integrity region
+    is attached; a detected journal is replayed (mounting is recovery),
+    attached, and forces [Journaled] whatever [policy] says — a journaled
+    image must not be written under any discipline that bypasses its log. *)
 
 val integrity : t -> Cffs_blockdev.Integrity.t option
-
-val set_journal : t -> Journal.t -> unit
-(** Attach the write-ahead log the [Journaled] policy commits to.  The
-    file system attaches it at format/mount time; the journal's region
-    lies beyond the file system's own blocks. *)
-
 val journal : t -> Journal.t option
 
 val checkpoint : t -> unit

@@ -1,11 +1,11 @@
 module Csb = Csb
 module Cdir = Cdir
 module Cache = Cffs_cache.Cache
-module Journal = Cffs_cache.Journal
 module Readahead = Cffs_cache.Readahead
 module Blockdev = Cffs_blockdev.Blockdev
 module Integrity = Cffs_blockdev.Integrity
 module Codec = Cffs_util.Codec
+module Bitmap = Cffs_util.Bitmap
 module Errno = Cffs_vfs.Errno
 module Inode = Cffs_vfs.Inode
 module Fs_intf = Cffs_vfs.Fs_intf
@@ -156,16 +156,6 @@ let write_sb_block t ~kind b =
   Hashtbl.replace t.replica_dirty 0 ();
   Cache.write t.cache ~kind 0 b
 
-let get_bit b base i = Codec.get_u8 b (base + (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-let set_bit b base i =
-  Codec.set_u8 b (base + (i lsr 3)) (Codec.get_u8 b (base + (i lsr 3)) lor (1 lsl (i land 7)))
-
-let clear_bit b base i =
-  Codec.set_u8 b
-    (base + (i lsr 3))
-    (Codec.get_u8 b (base + (i lsr 3)) land lnot (1 lsl (i land 7)))
-
 let cg_free_blocks t cg = Codec.get_u32 (read_header t cg) hdr_free_blocks
 
 (* Claim a specific known-free block. *)
@@ -173,17 +163,10 @@ let claim_block t blk =
   let cg = Csb.cg_of_block t.sb blk in
   let rel = blk - Csb.cg_start t.sb cg in
   let b = read_header t cg in
-  assert (not (get_bit b hdr_bbm rel));
-  set_bit b hdr_bbm rel;
+  assert (not (Bitmap.get b hdr_bbm rel));
+  Bitmap.set b hdr_bbm rel;
   Codec.set_u32 b hdr_free_blocks (Codec.get_u32 b hdr_free_blocks - 1);
   write_header t cg b
-
-let find_clear_bit b base len hint =
-  let hint = if len = 0 then 0 else hint mod len in
-  let rec scan i stop =
-    if i >= stop then None else if get_bit b base i then scan (i + 1) stop else Some i
-  in
-  match scan hint len with Some _ as r -> r | None -> scan 0 hint
 
 (* FFS-style single-block allocation: the given group first, near [hint]. *)
 let alloc_near t ~cg ~hint =
@@ -192,10 +175,10 @@ let alloc_near t ~cg ~hint =
     let b = read_header t cg in
     if Codec.get_u32 b hdr_free_blocks = 0 then None
     else begin
-      match find_clear_bit b hdr_bbm sb.Csb.cg_size (max 1 hint_rel) with
+      match Bitmap.find_clear b hdr_bbm ~len:sb.Csb.cg_size ~hint:(max 1 hint_rel) with
       | None | Some 0 -> None
       | Some rel ->
-          set_bit b hdr_bbm rel;
+          Bitmap.set b hdr_bbm rel;
           Codec.set_u32 b hdr_free_blocks (Codec.get_u32 b hdr_free_blocks - 1);
           write_header t cg b;
           Some (Csb.cg_start sb cg + rel)
@@ -219,8 +202,8 @@ let free_block t blk =
   let cg = Csb.cg_of_block sb blk in
   let rel = blk - Csb.cg_start sb cg in
   let b = read_header t cg in
-  if get_bit b hdr_bbm rel then begin
-    clear_bit b hdr_bbm rel;
+  if Bitmap.get b hdr_bbm rel then begin
+    Bitmap.clear b hdr_bbm rel;
     Codec.set_u32 b hdr_free_blocks (Codec.get_u32 b hdr_free_blocks + 1);
     write_header t cg b
   end;
@@ -267,13 +250,10 @@ let frame_free_block t frame =
   let sb = t.sb in
   let cg = Csb.cg_of_block sb frame in
   let b = read_header t cg in
-  let base_rel = frame - Csb.cg_start sb cg in
-  let rec scan i =
-    if i >= sb.Csb.group_blocks then None
-    else if get_bit b hdr_bbm (base_rel + i) then scan (i + 1)
-    else Some (frame + i)
-  in
-  scan 0
+  let start = Csb.cg_start sb cg in
+  Option.map (( + ) start)
+    (Bitmap.find_clear_in b hdr_bbm ~lo:(frame - start)
+       ~hi:(frame - start + sb.Csb.group_blocks))
 
 (* Find a completely free, aligned frame, preferring group [cg]. *)
 let alloc_frame t ~cg =
@@ -291,10 +271,8 @@ let alloc_frame t ~cg =
           if k >= nframes then None
           else begin
             let base = data0_rel + (k * gb) in
-            let rec all_free i =
-              i >= gb || ((not (get_bit b hdr_bbm (base + i))) && all_free (i + 1))
-            in
-            if all_free 0 then Some (Csb.cg_start sb g + base) else scan (k + 1)
+            if Bitmap.all_clear b hdr_bbm ~off:base ~len:gb then Some (Csb.cg_start sb g + base)
+            else scan (k + 1)
           end
         in
         scan 0
@@ -2032,7 +2010,7 @@ let block_in_use t blk =
     if cg < 0 || cg >= t.sb.Csb.cg_count then false
     else begin
       let rel = blk - Csb.cg_start t.sb cg in
-      get_bit (read_header t cg) hdr_bbm rel
+      Bitmap.get (read_header t cg) hdr_bbm rel
     end
   end
 
@@ -2180,12 +2158,7 @@ let frame_free_count t frame =
   let sb = t.sb in
   let cg = Csb.cg_of_block sb frame in
   let b = read_header t cg in
-  let base_rel = frame - Csb.cg_start sb cg in
-  let n = ref 0 in
-  for i = 0 to sb.Csb.group_blocks - 1 do
-    if not (get_bit b hdr_bbm (base_rel + i)) then incr n
-  done;
-  !n
+  Bitmap.count_clear b hdr_bbm ~off:(frame - Csb.cg_start sb cg) ~len:sb.Csb.group_blocks
 
 let regroup_prepare ?(dir_census = []) t ~dir ~ino =
   let sb = t.sb in
@@ -2367,23 +2340,12 @@ let regroup_abandon t plan =
 (* Formatting and mounting. *)
 
 let format ?(cg_size = 2048) ?(config = config_default) ?policy ?(cache_blocks = 4096)
-    ?(integrity = false) ?(spare_blocks = 64)
-    ?(namei = Cffs_namei.Namei.config_default) ?(vol_drives = 1)
-    ?(vol_layout = 0) ?(vol_stripe_unit = 0) dev =
+    ?integrity ?spare_blocks ?(namei = Cffs_namei.Namei.config_default)
+    ?(vol_drives = 1) ?(vol_layout = 0) ?(vol_stripe_unit = 0) dev =
   let block_size = Blockdev.block_size dev in
-  let ig = if integrity then Some (Integrity.format ~spare_blocks dev) else None in
-  let usable =
-    match ig with
-    | Some ig -> Integrity.data_blocks ig
-    | None -> Blockdev.nblocks dev
+  let cache, nblocks =
+    Cache.format_stack ?policy ?integrity ?spare_blocks dev ~capacity_blocks:cache_blocks
   in
-  (* Under [Journaled] the write-ahead log owns the tail of the usable
-     area; the file system confines itself to the blocks below it. *)
-  let jr =
-    if policy = Some Cache.Journaled then Some (Journal.format dev ~usable)
-    else None
-  in
-  let nblocks = match jr with Some j -> Journal.fs_blocks j | None -> usable in
   let sb =
     Csb.mk ~vol_drives ~vol_layout ~vol_stripe_unit ~block_size ~nblocks
       ~cg_size ~group_blocks:config.group_blocks
@@ -2392,9 +2354,6 @@ let format ?(cg_size = 2048) ?(config = config_default) ?policy ?(cache_blocks =
       ~readahead_blocks:config.readahead_blocks
       ~dirindex_threshold:config.dirindex_threshold ()
   in
-  let cache = Cache.create ?policy dev ~capacity_blocks:cache_blocks in
-  Cache.set_integrity cache ig;
-  (match jr with Some j -> Cache.set_journal cache j | None -> ());
   Cache.set_clusterer cache (clusterer_of_sb sb);
   let t =
     {
@@ -2412,7 +2371,7 @@ let format ?(cg_size = 2048) ?(config = config_default) ?policy ?(cache_blocks =
   for cg = 0 to sb.Csb.cg_count - 1 do
     let b = Bytes.make block_size '\000' in
     Codec.set_u32 b hdr_free_blocks (sb.Csb.cg_size - 1);
-    set_bit b hdr_bbm 0;
+    Bitmap.set b hdr_bbm 0;
     Cache.write cache ~kind:`Meta (header_block t cg) b;
     Hashtbl.replace t.replica_dirty (1 + cg) ()
   done;
@@ -2434,27 +2393,13 @@ let format ?(cg_size = 2048) ?(config = config_default) ?policy ?(cache_blocks =
 
 let mount ?policy ?(cache_blocks = 4096)
     ?(namei = Cffs_namei.Namei.config_default) dev =
-  let ig = Integrity.attach dev in
-  let usable =
-    match ig with
-    | Some ig -> Integrity.data_blocks ig
-    | None -> Blockdev.nblocks dev
-  in
-  (* Mounting is recovery: probing the journal replays every committed
-     transaction before the superblock is even read.  An on-disk journal
-     also decides the policy — a journaled image must not be written under
-     any discipline that bypasses its log. *)
-  let jr = Journal.attach ?integ:ig dev ~usable in
-  let policy = match jr with Some _ -> Some Cache.Journaled | None -> policy in
-  let cache = Cache.create ?policy dev ~capacity_blocks:cache_blocks in
-  Cache.set_integrity cache ig;
-  (match jr with Some j -> Cache.set_journal cache j | None -> ());
+  let cache = Cache.mount_stack ?policy dev ~capacity_blocks:cache_blocks in
   let sb_bytes =
     try Cache.read cache 0
     with Cffs_util.Io_error.E _ as e -> (
       (* Degraded mount: the primary superblock is damaged; decode the
          replica, serve it, and queue a repair of block 0. *)
-      match ig with
+      match Cache.integrity cache with
       | None -> raise e
       | Some ig -> (
           match Integrity.replica_read ig ~slot:0 with
@@ -2485,9 +2430,10 @@ let mount ?policy ?(cache_blocks = 4096)
       Some t
 
 (* ------------------------------------------------------------------ *)
-(* Path-level interface. *)
+(* Path-level interface: the shared layer stack (lib/namei/layer_stack.mli)
+   over the inode-level operations above. *)
 
-module Low = Cffs_vfs.Obs_low.Make (struct
+include Cffs_namei.Layer_stack.Make (struct
   type nonrec t = t
 
   let label = label
@@ -2509,65 +2455,5 @@ module Low = Cffs_vfs.Obs_low.Make (struct
   let usage = usage
   let device t = Cache.device t.cache
   let prefix = "cffs"
-end)
-
-(* The namei layer interposes between the instrumented LOW and the path
-   API: lookups and stats are served from the per-mount dentry/attribute
-   caches, mutations invalidate them (see lib/namei).  The obs spans
-   therefore time only real file-system work — a dentry hit never touches
-   [Low]. *)
-module Cached = Cffs_namei.Namei.Make (struct
-  include Low
-
   let namei = namei
 end)
-
-(* Re-export the cached, instrumented entry points so direct callers
-   (workloads, fsck, tests) see exactly what path-level access sees —
-   anything else would let a direct mutation leave a stale cache entry
-   behind. *)
-let lookup = Cached.lookup
-let mknod = Cached.mknod
-let remove = Cached.remove
-let hardlink = Cached.hardlink
-let rename = Cached.rename
-let readdir = Cached.readdir
-let readdir_plus = Cached.readdir_plus
-let stat_ino = Cached.stat_ino
-let read_ino = Cached.read_ino
-let write_ino = Cached.write_ino
-let truncate_ino = Cached.truncate_ino
-let remount = Cached.remount
-
-(* Path resolution goes through the full-path shortcut cache: a warm
-   repeated path skips the component walk entirely, and a shortcut miss
-   still walks through [Cached], so it benefits from (and warms) the
-   dentry cache. *)
-module Pathops =
-  Cffs_vfs.Pathfs.MakeWith
-    (Cached)
-    (Cffs_namei.Namei.Resolver (struct
-      include Cached
-
-      let namei = namei
-    end))
-
-let resolve = Pathops.resolve
-let create = Pathops.create
-let mkdir = Pathops.mkdir
-let mkdir_p = Pathops.mkdir_p
-let unlink = Pathops.unlink
-let rmdir = Pathops.rmdir
-let link = Pathops.link
-let rename_path = Pathops.rename_path
-let stat = Pathops.stat
-let exists = Pathops.exists
-let read = Pathops.read
-let write = Pathops.write
-let truncate = Pathops.truncate
-let file_runs = Pathops.file_runs
-let read_file = Pathops.read_file
-let write_file = Pathops.write_file
-let append_file = Pathops.append_file
-let list_dir = Pathops.list_dir
-let list_dir_plus = Pathops.list_dir_plus

@@ -31,7 +31,6 @@ type 'a item = {
   payload : 'a;
   seq : int;
   submitted_at : float;
-  mutable passes : int;
 }
 
 type 'a t = {
@@ -77,9 +76,7 @@ let is_empty t = Queue.is_empty t.arrival && t.window = []
 let submit t req payload ~now =
   let tag = t.next_tag in
   t.next_tag <- tag + 1;
-  let item =
-    { tag; req; payload; seq = t.next_seq; submitted_at = now; passes = 0 }
-  in
+  let item = { tag; req; payload; seq = t.next_seq; submitted_at = now } in
   t.next_seq <- t.next_seq + 1;
   Queue.add item t.arrival;
   Cffs_obs.Registry.incr m_submitted;
@@ -194,7 +191,6 @@ let take t ~geom ~current_cyl =
       in
       t.window <- List.filter (fun it -> not (List.memq it group)) t.window;
       t.sweep <- List.filter (fun it -> not (List.memq it group)) t.sweep;
-      List.iter (fun it -> it.passes <- it.passes + 1) t.window;
       Cffs_obs.Registry.incr m_dispatched;
       Cffs_obs.Registry.set g_pending (float_of_int (pending t));
       refill t;

@@ -23,7 +23,6 @@ type 'a item = {
   payload : 'a;
   seq : int;  (** submission order *)
   submitted_at : float;  (** caller clock at submit, for wait accounting *)
-  mutable passes : int;  (** times passed over by the scheduler *)
 }
 
 type 'a t

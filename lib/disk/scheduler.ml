@@ -1,65 +1,10 @@
 type policy = Fcfs | Clook | Sstf
 
-let m_batches = Cffs_obs.Registry.counter "scheduler.batches"
-let m_requests = Cffs_obs.Registry.counter "scheduler.requests"
-let m_reordered = Cffs_obs.Registry.counter "scheduler.reordered"
-
 let policy_name = function Fcfs -> "FCFS" | Clook -> "C-LOOK" | Sstf -> "SSTF"
 
 let policy_of_string s =
   match String.lowercase_ascii s with
-  | "fcfs" -> Some Fcfs
+  | "fcfs" | "fifo" -> Some Fcfs
   | "clook" | "c-look" -> Some Clook
   | "sstf" -> Some Sstf
   | _ -> None
-
-let order_requests policy geom ~current_cyl reqs =
-  match policy with
-  | Fcfs -> reqs
-  | Clook ->
-      let sorted =
-        List.stable_sort (fun (a : Request.t) b -> compare a.lba b.lba) reqs
-      in
-      let ahead, behind =
-        List.partition
-          (fun (r : Request.t) -> Geometry.cyl_of_lba geom r.lba >= current_cyl)
-          sorted
-      in
-      ahead @ behind
-  | Sstf ->
-      let remaining = ref reqs in
-      let cyl = ref current_cyl in
-      let out = ref [] in
-      while !remaining <> [] do
-        let best =
-          List.fold_left
-            (fun acc (r : Request.t) ->
-              let d = abs (Geometry.cyl_of_lba geom r.lba - !cyl) in
-              match acc with
-              | Some (_, bd) when bd <= d -> acc
-              | _ -> Some (r, d))
-            None !remaining
-        in
-        match best with
-        | None -> ()
-        | Some (r, _) ->
-            out := r :: !out;
-            cyl := Geometry.cyl_of_lba geom r.lba;
-            remaining := List.filter (fun x -> x != r) !remaining
-      done;
-      List.rev !out
-
-let order policy geom ~current_cyl reqs =
-  let out = order_requests policy geom ~current_cyl reqs in
-  (match reqs with
-  | [] -> ()
-  | _ ->
-      Cffs_obs.Registry.incr m_batches;
-      Cffs_obs.Registry.incr ~by:(List.length reqs) m_requests;
-      let moved =
-        List.fold_left2
-          (fun acc a b -> if a == b then acc else acc + 1)
-          0 reqs out
-      in
-      Cffs_obs.Registry.incr ~by:moved m_reordered);
-  out

@@ -2,19 +2,18 @@
 
     The paper's disk driver "supports scatter/gather I/O and uses a C-LOOK
     scheduling algorithm [Worthington94]".  C-LOOK is the default; FCFS and
-    SSTF are provided for the scheduling ablation. *)
+    SSTF are provided for the scheduling ablation.  {!Ioqueue.take}
+    implements them over its window:
+    - [Fcfs]: arrival order;
+    - [Clook]: ascending LBA starting from the first request at or beyond
+      the current cylinder, wrapping once to the lowest;
+    - [Sstf]: the request with the smallest cylinder distance from the
+      current position. *)
 
 type policy = Fcfs | Clook | Sstf
 
 val policy_name : policy -> string
-val policy_of_string : string -> policy option
 
-val order :
-  policy -> Geometry.t -> current_cyl:int -> Request.t list -> Request.t list
-(** [order policy geom ~current_cyl reqs] returns the service order for a
-    batch of queued requests:
-    - [Fcfs]: arrival order;
-    - [Clook]: ascending LBA starting from the first request at or beyond the
-      current cylinder, wrapping once to the lowest;
-    - [Sstf]: repeatedly pick the request with the smallest cylinder distance
-      from the (simulated) current position. *)
+val policy_of_string : string -> policy option
+(** Case-insensitive; accepts ["fcfs"]/["fifo"], ["clook"]/["c-look"] and
+    ["sstf"]. *)

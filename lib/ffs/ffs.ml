@@ -1,9 +1,9 @@
 module Layout = Layout
 module Dirent = Dirent
 module Cache = Cffs_cache.Cache
-module Journal = Cffs_cache.Journal
 module Blockdev = Cffs_blockdev.Blockdev
 module Codec = Cffs_util.Codec
+module Bitmap = Cffs_util.Bitmap
 module Errno = Cffs_vfs.Errno
 module Inode = Cffs_vfs.Inode
 module Fs_intf = Cffs_vfs.Fs_intf
@@ -40,16 +40,6 @@ let read_header t cg = Cache.read t.cache (header_block t cg)
 
 let write_header t cg b = Cache.write t.cache ~kind:`Meta_delayed (header_block t cg) b
 
-let get_bit b base i = Codec.get_u8 b (base + (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-let set_bit b base i =
-  Codec.set_u8 b (base + (i lsr 3)) (Codec.get_u8 b (base + (i lsr 3)) lor (1 lsl (i land 7)))
-
-let clear_bit b base i =
-  Codec.set_u8 b
-    (base + (i lsr 3))
-    (Codec.get_u8 b (base + (i lsr 3)) land lnot (1 lsl (i land 7)))
-
 let cg_free_blocks t cg = Codec.get_u32 (read_header t cg) hdr_free_blocks
 let cg_free_inodes t cg = Codec.get_u32 (read_header t cg) hdr_free_inodes
 
@@ -79,23 +69,16 @@ let read_inode t ino =
 (* ------------------------------------------------------------------ *)
 (* Allocators. *)
 
-(* Find a clear bit in [len] bits at [base] of header [b], scanning
-   circularly from [hint]. *)
-let find_clear_bit b base len hint =
-  let hint = if len = 0 then 0 else hint mod len in
-  let rec scan i stop = if i >= stop then None else if get_bit b base i then scan (i + 1) stop else Some i in
-  match scan hint len with Some _ as r -> r | None -> scan 0 hint
-
 let alloc_inode t ~preferred_cg =
   let sb = t.sb in
   let try_cg cg =
     let b = read_header t cg in
     if Codec.get_u32 b hdr_free_inodes = 0 then None
     else begin
-      match find_clear_bit b hdr_ibm sb.Layout.inodes_per_cg 0 with
+      match Bitmap.find_clear b hdr_ibm ~len:sb.Layout.inodes_per_cg ~hint:0 with
       | None -> None
       | Some idx ->
-          set_bit b hdr_ibm idx;
+          Bitmap.set b hdr_ibm idx;
           Codec.set_u32 b hdr_free_inodes (Codec.get_u32 b hdr_free_inodes - 1);
           write_header t cg b;
           Some ((cg * sb.Layout.inodes_per_cg) + idx)
@@ -116,8 +99,8 @@ let free_inode t ino =
   let cg = Layout.cg_of_ino sb ino in
   let idx = Layout.ino_index sb ino in
   let b = read_header t cg in
-  if get_bit b hdr_ibm idx then begin
-    clear_bit b hdr_ibm idx;
+  if Bitmap.get b hdr_ibm idx then begin
+    Bitmap.clear b hdr_ibm idx;
     Codec.set_u32 b hdr_free_inodes (Codec.get_u32 b hdr_free_inodes + 1);
     write_header t cg b
   end
@@ -148,10 +131,10 @@ let alloc_block t ~cg ~hint =
     let b = read_header t cg in
     if Codec.get_u32 b hdr_free_blocks = 0 then None
     else begin
-      match find_clear_bit b (hdr_bbm sb) sb.Layout.cg_size hint_rel with
+      match Bitmap.find_clear b (hdr_bbm sb) ~len:sb.Layout.cg_size ~hint:hint_rel with
       | None -> None
       | Some rel ->
-          set_bit b (hdr_bbm sb) rel;
+          Bitmap.set b (hdr_bbm sb) rel;
           Codec.set_u32 b hdr_free_blocks (Codec.get_u32 b hdr_free_blocks - 1);
           write_header t cg b;
           Some (Layout.cg_start sb cg + rel)
@@ -176,8 +159,8 @@ let free_block t blk =
   let cg = Layout.cg_of_block sb blk in
   let rel = blk - Layout.cg_start sb cg in
   let b = read_header t cg in
-  if get_bit b (hdr_bbm sb) rel then begin
-    clear_bit b (hdr_bbm sb) rel;
+  if Bitmap.get b (hdr_bbm sb) rel then begin
+    Bitmap.clear b (hdr_bbm sb) rel;
     Codec.set_u32 b hdr_free_blocks (Codec.get_u32 b hdr_free_blocks + 1);
     write_header t cg b
   end;
@@ -715,35 +698,18 @@ let file_clusterer ~prev ~next =
   | _ -> false
 
 let format ?(cg_size = 2048) ?(inodes_per_cg = 1024) ?policy ?(cache_blocks = 4096)
-    ?(integrity = false) ?(spare_blocks = 64)
-    ?(namei = Cffs_namei.Namei.config_default) ?(vol_drives = 1)
-    ?(vol_layout = 0) ?(vol_stripe_unit = 0) dev =
+    ?integrity ?spare_blocks ?(namei = Cffs_namei.Namei.config_default)
+    ?(vol_drives = 1) ?(vol_layout = 0) ?(vol_stripe_unit = 0) dev =
   let block_size = Blockdev.block_size dev in
   (* FFS gets checksums and bad-sector remapping only — no metadata
      replicas (that degree of self-healing is C-FFS's; see Cffs.format). *)
-  let ig =
-    if integrity then Some (Cffs_blockdev.Integrity.format ~spare_blocks dev)
-    else None
+  let cache, nblocks =
+    Cache.format_stack ?policy ?integrity ?spare_blocks dev ~capacity_blocks:cache_blocks
   in
-  let usable =
-    match ig with
-    | Some ig -> Cffs_blockdev.Integrity.data_blocks ig
-    | None -> Blockdev.nblocks dev
-  in
-  (* Under [Journaled] the write-ahead log owns the tail of the usable
-     area; the file system confines itself to the blocks below it. *)
-  let jr =
-    if policy = Some Cache.Journaled then Some (Journal.format dev ~usable)
-    else None
-  in
-  let nblocks = match jr with Some j -> Journal.fs_blocks j | None -> usable in
   let sb =
     Layout.mk_sb ~vol_drives ~vol_layout ~vol_stripe_unit ~block_size ~nblocks
       ~cg_size ~inodes_per_cg ()
   in
-  let cache = Cache.create ?policy dev ~capacity_blocks:cache_blocks in
-  Cache.set_integrity cache ig;
-  (match jr with Some j -> Cache.set_journal cache j | None -> ());
   Cache.set_clusterer cache file_clusterer;
   let t =
     { cache; sb; dir_rotor = 0; namei = Cffs_namei.Namei.create ~config:namei () }
@@ -759,15 +725,15 @@ let format ?(cg_size = 2048) ?(inodes_per_cg = 1024) ?policy ?(cache_blocks = 40
     Codec.set_u32 b hdr_free_inodes sb.Layout.inodes_per_cg;
     Codec.set_u32 b hdr_ndirs 0;
     for i = 0 to meta_blocks - 1 do
-      set_bit b (hdr_bbm sb) i
+      Bitmap.set b (hdr_bbm sb) i
     done;
     Cache.write cache ~kind:`Meta (header_block t cg) b
   done;
   (* Reserve inodes 0 and 1, then build the root directory (ino 2). *)
   let b = read_header t 0 in
-  set_bit b hdr_ibm 0;
-  set_bit b hdr_ibm 1;
-  set_bit b hdr_ibm 2;
+  Bitmap.set b hdr_ibm 0;
+  Bitmap.set b hdr_ibm 1;
+  Bitmap.set b hdr_ibm 2;
   Codec.set_u32 b hdr_free_inodes (Codec.get_u32 b hdr_free_inodes - 3);
   write_header t 0 b;
   let root_ino = sb.Layout.root_ino in
@@ -790,20 +756,7 @@ let format ?(cg_size = 2048) ?(inodes_per_cg = 1024) ?policy ?(cache_blocks = 40
 
 let mount ?policy ?(cache_blocks = 4096)
     ?(namei = Cffs_namei.Namei.config_default) dev =
-  let ig = Cffs_blockdev.Integrity.attach dev in
-  let usable =
-    match ig with
-    | Some ig -> Cffs_blockdev.Integrity.data_blocks ig
-    | None -> Blockdev.nblocks dev
-  in
-  (* Mounting is recovery: probing the journal replays every committed
-     transaction before the superblock is read, and an on-disk journal
-     decides the policy. *)
-  let jr = Journal.attach ?integ:ig dev ~usable in
-  let policy = match jr with Some _ -> Some Cache.Journaled | None -> policy in
-  let cache = Cache.create ?policy dev ~capacity_blocks:cache_blocks in
-  Cache.set_integrity cache ig;
-  (match jr with Some j -> Cache.set_journal cache j | None -> ());
+  let cache = Cache.mount_stack ?policy dev ~capacity_blocks:cache_blocks in
   Cache.set_clusterer cache file_clusterer;
   match Layout.decode_sb (Cache.read cache 0) with
   | None -> None
@@ -812,9 +765,10 @@ let mount ?policy ?(cache_blocks = 4096)
         { cache; sb; dir_rotor = 0; namei = Cffs_namei.Namei.create ~config:namei () }
 
 (* ------------------------------------------------------------------ *)
-(* Path-level interface. *)
+(* Path-level interface: the shared layer stack (lib/namei/layer_stack.mli)
+   over the inode-level operations above. *)
 
-module Low = Cffs_vfs.Obs_low.Make (struct
+include Cffs_namei.Layer_stack.Make (struct
   type nonrec t = t
 
   let label = label
@@ -836,62 +790,5 @@ module Low = Cffs_vfs.Obs_low.Make (struct
   let usage = usage
   let device t = Cache.device t.cache
   let prefix = "ffs"
-end)
-
-(* The namei layer (per-mount dentry/attribute caches, see lib/namei)
-   interposes between the instrumented LOW and the path API. *)
-module Cached = Cffs_namei.Namei.Make (struct
-  include Low
-
   let namei = namei
 end)
-
-(* Re-export the cached, instrumented entry points so direct callers
-   (workloads, fsck, tests) see exactly what path-level access sees —
-   anything else would let a direct mutation leave a stale cache entry
-   behind. *)
-let lookup = Cached.lookup
-let mknod = Cached.mknod
-let remove = Cached.remove
-let hardlink = Cached.hardlink
-let rename = Cached.rename
-let readdir = Cached.readdir
-let readdir_plus = Cached.readdir_plus
-let stat_ino = Cached.stat_ino
-let read_ino = Cached.read_ino
-let write_ino = Cached.write_ino
-let truncate_ino = Cached.truncate_ino
-let remount = Cached.remount
-
-(* Path resolution goes through the full-path shortcut cache: a warm
-   repeated path skips the component walk entirely, and a shortcut miss
-   still walks through [Cached], so it benefits from (and warms) the
-   dentry cache. *)
-module Pathops =
-  Cffs_vfs.Pathfs.MakeWith
-    (Cached)
-    (Cffs_namei.Namei.Resolver (struct
-      include Cached
-
-      let namei = namei
-    end))
-
-let resolve = Pathops.resolve
-let create = Pathops.create
-let mkdir = Pathops.mkdir
-let mkdir_p = Pathops.mkdir_p
-let unlink = Pathops.unlink
-let rmdir = Pathops.rmdir
-let link = Pathops.link
-let rename_path = Pathops.rename_path
-let stat = Pathops.stat
-let exists = Pathops.exists
-let read = Pathops.read
-let write = Pathops.write
-let truncate = Pathops.truncate
-let file_runs = Pathops.file_runs
-let read_file = Pathops.read_file
-let write_file = Pathops.write_file
-let append_file = Pathops.append_file
-let list_dir = Pathops.list_dir
-let list_dir_plus = Pathops.list_dir_plus

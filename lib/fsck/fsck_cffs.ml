@@ -1,5 +1,6 @@
 module Cache = Cffs_cache.Cache
 module Codec = Cffs_util.Codec
+module Bitmap = Cffs_util.Bitmap
 module Inode = Cffs_vfs.Inode
 module Bmap = Cffs_vfs.Bmap
 module Csb = Cffs.Csb
@@ -166,24 +167,24 @@ let nlink_problems survey =
       end)
     survey.inodes []
 
-let get_bit b base i = Codec.get_u8 b (base + (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
 let bitmap_problems t survey =
   let sb = Cffs.superblock t in
   let cache = Cffs.cache t in
   let problems = ref [] in
   for cg = 0 to sb.Csb.cg_count - 1 do
     let hdr = Cache.read cache (Csb.cg_start sb cg) in
-    let found_free = ref 0 and expected_free = ref 0 in
+    let found_free =
+      Bitmap.count_clear hdr Csb.hdr_block_bitmap_off ~off:0 ~len:sb.Csb.cg_size
+    in
+    let expected_free = ref 0 in
     for rel = 0 to sb.Csb.cg_size - 1 do
       let blk = Csb.cg_start sb cg + rel in
-      if not (get_bit hdr Csb.hdr_block_bitmap_off rel) then incr found_free;
       if rel > 0 && not (Hashtbl.mem survey.used blk) then incr expected_free
     done;
-    if !found_free <> !expected_free then
+    if found_free <> !expected_free then
       problems :=
         Report.Block_bitmap_mismatch
-          { cg; expected_free = !expected_free; found_free = !found_free }
+          { cg; expected_free = !expected_free; found_free }
         :: !problems
   done;
   !problems
@@ -334,14 +335,11 @@ let rebuild_metadata t =
   for cg = 0 to sb.Csb.cg_count - 1 do
     let hdr = Cache.read cache (Csb.cg_start sb cg) in
     Codec.zero hdr Csb.hdr_block_bitmap_off ((sb.Csb.cg_size + 7) / 8);
-    let set i =
-      let base = Csb.hdr_block_bitmap_off in
-      Codec.set_u8 hdr (base + (i lsr 3)) (Codec.get_u8 hdr (base + (i lsr 3)) lor (1 lsl (i land 7)))
-    in
     let free = ref 0 in
     for rel = 0 to sb.Csb.cg_size - 1 do
       let blk = Csb.cg_start sb cg + rel in
-      if rel = 0 || Hashtbl.mem survey.used blk then set rel else incr free
+      if rel = 0 || Hashtbl.mem survey.used blk then Bitmap.set hdr Csb.hdr_block_bitmap_off rel
+      else incr free
     done;
     Codec.set_u32 hdr Csb.hdr_free_blocks_off !free;
     Cache.write cache ~kind:`Meta (Csb.cg_start sb cg) hdr

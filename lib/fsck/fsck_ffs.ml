@@ -1,5 +1,6 @@
 module Cache = Cffs_cache.Cache
 module Codec = Cffs_util.Codec
+module Bitmap = Cffs_util.Bitmap
 module Inode = Cffs_vfs.Inode
 module Bmap = Cffs_vfs.Bmap
 module Layout = Ffs.Layout
@@ -100,8 +101,6 @@ let run_survey t =
       walk_dir t sb survey ~dir:(Ffs.root t) inode);
   survey
 
-let get_bit b base i = Codec.get_u8 b (base + (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
 (* Compare the on-disk bitmaps against what the walk found. *)
 let bitmap_problems t survey =
   let sb = Ffs.superblock t in
@@ -111,10 +110,12 @@ let bitmap_problems t survey =
   for cg = 0 to sb.Layout.cg_count - 1 do
     let hdr = Cache.read cache (Layout.cg_start sb cg) in
     (* Inode bitmap and orphan detection: read every slot of the table. *)
-    let found_free_inodes = ref 0 and expected_free_inodes = ref 0 in
+    let found_free_inodes =
+      Bitmap.count_clear hdr Layout.hdr_inode_bitmap_off ~off:0 ~len:sb.Layout.inodes_per_cg
+    in
+    let expected_free_inodes = ref 0 in
     for idx = 0 to sb.Layout.inodes_per_cg - 1 do
       let ino = (cg * sb.Layout.inodes_per_cg) + idx in
-      if not (get_bit hdr Layout.hdr_inode_bitmap_off idx) then incr found_free_inodes;
       let reserved = ino < 2 in
       let referenced = Hashtbl.mem survey.refs ino in
       if referenced || reserved then ()
@@ -126,23 +127,25 @@ let bitmap_problems t survey =
         else incr expected_free_inodes
       end
     done;
-    if !found_free_inodes <> !expected_free_inodes then
+    if found_free_inodes <> !expected_free_inodes then
       problems :=
         Report.Inode_bitmap_mismatch
-          { cg; expected_free = !expected_free_inodes; found_free = !found_free_inodes }
+          { cg; expected_free = !expected_free_inodes; found_free = found_free_inodes }
         :: !problems;
     (* Block bitmap. *)
-    let found_free = ref 0 and expected_free = ref 0 in
+    let found_free =
+      Bitmap.count_clear hdr (Layout.hdr_block_bitmap_off sb) ~off:0 ~len:sb.Layout.cg_size
+    in
+    let expected_free = ref 0 in
     for rel = 0 to sb.Layout.cg_size - 1 do
       let blk = Layout.cg_start sb cg + rel in
-      if not (get_bit hdr (Layout.hdr_block_bitmap_off sb) rel) then incr found_free;
       let is_meta = rel <= sb.Layout.itable_blocks in
       if (not is_meta) && not (Hashtbl.mem survey.used blk) then incr expected_free
     done;
-    if !found_free <> !expected_free then
+    if found_free <> !expected_free then
       problems :=
         Report.Block_bitmap_mismatch
-          { cg; expected_free = !expected_free; found_free = !found_free }
+          { cg; expected_free = !expected_free; found_free }
         :: !problems
   done;
   (!problems, !orphans)
@@ -283,18 +286,15 @@ let rebuild_metadata t =
     let free_inodes = ref 0 and free_blocks = ref 0 in
     Codec.zero hdr ibm_off ((sb.Layout.inodes_per_cg + 7) / 8);
     Codec.zero hdr bbm_off ((sb.Layout.cg_size + 7) / 8);
-    let set base i =
-      Codec.set_u8 hdr (base + (i lsr 3)) (Codec.get_u8 hdr (base + (i lsr 3)) lor (1 lsl (i land 7)))
-    in
     for idx = 0 to sb.Layout.inodes_per_cg - 1 do
       let ino = (cg * sb.Layout.inodes_per_cg) + idx in
-      if ino < 2 || Hashtbl.mem survey.refs ino then set ibm_off idx
+      if ino < 2 || Hashtbl.mem survey.refs ino then Bitmap.set hdr ibm_off idx
       else incr free_inodes
     done;
     for rel = 0 to sb.Layout.cg_size - 1 do
       let blk = Layout.cg_start sb cg + rel in
       if rel <= sb.Layout.itable_blocks || Hashtbl.mem survey.used blk then
-        set bbm_off rel
+        Bitmap.set hdr bbm_off rel
       else incr free_blocks
     done;
     Codec.set_u32 hdr Layout.hdr_free_blocks_off !free_blocks;

@@ -1,5 +1,4 @@
 module Cache = Cffs_cache.Cache
-module Codec = Cffs_util.Codec
 module Inode = Cffs_vfs.Inode
 module Fs_intf = Cffs_vfs.Fs_intf
 module Json = Cffs_obs.Json
@@ -216,9 +215,6 @@ let cffs_source (fs : Cffs.t) =
     src_usage = Cffs.usage fs;
   }
 
-let get_bit b base i =
-  Codec.get_u8 b (base + (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
 let ffs_source (fs : Ffs.t) =
   let module L = Ffs.Layout in
   let sb = Ffs.superblock fs in
@@ -236,7 +232,7 @@ let ffs_source (fs : Ffs.t) =
   in
   let block_used blk =
     let cg = L.cg_of_block sb blk in
-    get_bit hdrs.(cg) (L.hdr_block_bitmap_off sb) (blk - L.cg_start sb cg)
+    Cffs_util.Bitmap.get hdrs.(cg) (L.hdr_block_bitmap_off sb) (blk - L.cg_start sb cg)
   in
   {
     src_label = Ffs.label fs;

@@ -179,7 +179,7 @@ let shortcut_count t = Lru.length t.shortcuts
 (* ------------------------------------------------------------------ *)
 (* The caching interposer: a LOW over a LOW.
 
-   Sits between [Pathfs.Make] and the instrumented file system.  Reads
+   Sits between [Pathfs.MakeWith] and the instrumented file system.  Reads
    (lookup / stat_ino) are served from the caches; every namespace or
    attribute mutation invalidates before the caller can observe the new
    on-disk truth, so a cached entry never outlives what it mirrors:

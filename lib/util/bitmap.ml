@@ -1,122 +1,30 @@
-type t = { bits : Bytes.t; length : int; mutable set_count : int }
+let get b base i = Codec.get_u8 b (base + (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let create n =
-  assert (n >= 0);
-  { bits = Bytes.make ((n + 7) / 8) '\000'; length = n; set_count = 0 }
+let set b base i =
+  let off = base + (i lsr 3) in
+  Codec.set_u8 b off (Codec.get_u8 b off lor (1 lsl (i land 7)))
 
-let length t = t.length
+let clear b base i =
+  let off = base + (i lsr 3) in
+  Codec.set_u8 b off (Codec.get_u8 b off land lnot (1 lsl (i land 7)))
 
-let check t i = if i < 0 || i >= t.length then invalid_arg "Bitmap: index"
+let find_clear_in b base ~lo ~hi =
+  let rec scan i = if i >= hi then None else if get b base i then scan (i + 1) else Some i in
+  scan lo
 
-let get t i =
-  check t i;
-  Char.code (Bytes.get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+let find_clear b base ~len ~hint =
+  let hint = if len = 0 then 0 else hint mod len in
+  match find_clear_in b base ~lo:hint ~hi:len with
+  | Some _ as r -> r
+  | None -> find_clear_in b base ~lo:0 ~hi:hint
 
-let set t i =
-  check t i;
-  let byte = Char.code (Bytes.get t.bits (i lsr 3)) in
-  let mask = 1 lsl (i land 7) in
-  if byte land mask = 0 then begin
-    Bytes.set t.bits (i lsr 3) (Char.chr (byte lor mask));
-    t.set_count <- t.set_count + 1
-  end
+let all_clear b base ~off ~len =
+  let rec scan i = i >= off + len || ((not (get b base i)) && scan (i + 1)) in
+  scan off
 
-let clear t i =
-  check t i;
-  let byte = Char.code (Bytes.get t.bits (i lsr 3)) in
-  let mask = 1 lsl (i land 7) in
-  if byte land mask <> 0 then begin
-    Bytes.set t.bits (i lsr 3) (Char.chr (byte land lnot mask));
-    t.set_count <- t.set_count - 1
-  end
-
-let set_range t off len =
+let count_clear b base ~off ~len =
+  let n = ref 0 in
   for i = off to off + len - 1 do
-    set t i
-  done
-
-let clear_range t off len =
-  for i = off to off + len - 1 do
-    clear t i
-  done
-
-let count_set t = t.set_count
-let count_clear t = t.length - t.set_count
-
-let find_clear_in t ~lo ~hi =
-  let hi = Stdlib.min hi t.length in
-  let rec loop i = if i >= hi then None else if get t i then loop (i + 1) else Some i in
-  loop (Stdlib.max 0 lo)
-
-let find_clear t ~hint =
-  if t.set_count = t.length then None
-  else begin
-    let hint = if t.length = 0 then 0 else hint mod t.length in
-    match find_clear_in t ~lo:hint ~hi:t.length with
-    | Some _ as r -> r
-    | None -> find_clear_in t ~lo:0 ~hi:hint
-  end
-
-let is_clear_run t off len =
-  if off < 0 || off + len > t.length then false
-  else begin
-    let rec loop i = i >= off + len || ((not (get t i)) && loop (i + 1)) in
-    loop off
-  end
-
-let find_clear_run t ~hint ~len =
-  if len <= 0 || len > t.length then None
-  else begin
-    let hint = if t.length = 0 then 0 else hint mod t.length in
-    (* Scan from [hint] to end, then from 0 to [hint]; skip ahead past the
-       last set bit found inside a failed candidate run. *)
-    let scan lo hi =
-      let rec loop i =
-        if i + len > hi then None
-        else begin
-          let rec first_set j =
-            if j >= i + len then None
-            else if get t j then Some j
-            else first_set (j + 1)
-          in
-          match first_set i with
-          | None -> Some i
-          | Some j -> loop (j + 1)
-        end
-      in
-      loop lo
-    in
-    match scan hint t.length with
-    | Some _ as r -> r
-    | None -> scan 0 (Stdlib.min (hint + len - 1) t.length)
-  end
-
-let copy t =
-  { bits = Bytes.copy t.bits; length = t.length; set_count = t.set_count }
-
-let to_bytes t = Bytes.copy t.bits
-
-let of_bytes n b =
-  let t = create n in
-  let nbytes = Stdlib.min (Bytes.length b) (Bytes.length t.bits) in
-  Bytes.blit b 0 t.bits 0 nbytes;
-  (* Clear any stray bits past [n] and recount. *)
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    if Char.code (Bytes.get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0 then
-      incr count
+    if not (get b base i) then incr n
   done;
-  let last = Bytes.length t.bits in
-  if last > 0 && n land 7 <> 0 then begin
-    let keep = (1 lsl (n land 7)) - 1 in
-    Bytes.set t.bits (last - 1)
-      (Char.chr (Char.code (Bytes.get t.bits (last - 1)) land keep))
-  end;
-  { t with set_count = !count }
-
-let equal a b = a.length = b.length && Bytes.equal a.bits b.bits
-
-let iter_set t f =
-  for i = 0 to t.length - 1 do
-    if get t i then f i
-  done
+  !n

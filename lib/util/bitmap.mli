@@ -1,48 +1,28 @@
-(** Bit sets used for on-disk block and inode allocation maps.
+(** The on-disk allocation bitmap format, read and written in place.
 
-    Bits are addressed [0 .. length - 1]; a set bit means "allocated". *)
+    A bitmap lives at byte offset [base] inside a block buffer (a cylinder
+    group header, say).  Bit [i] is bit [i mod 8] of byte [base + i / 8];
+    a set bit means "allocated".  Every allocator, fsck and layout
+    introspector in the repository goes through these functions, so the
+    bit order is decided here and nowhere else.
 
-type t
+    Scans test one bit at a time; indices are bitmap-relative. *)
 
-val create : int -> t
-(** [create n] is an all-clear bitmap of [n] bits. *)
+val get : bytes -> int -> int -> bool
+(** [get b base i] is bit [i] of the bitmap at [base] in [b]. *)
 
-val length : t -> int
-val get : t -> int -> bool
-val set : t -> int -> unit
-val clear : t -> int -> unit
-val set_range : t -> int -> int -> unit
-(** [set_range t off len] sets [len] bits starting at [off]. *)
+val set : bytes -> int -> int -> unit
+val clear : bytes -> int -> int -> unit
 
-val clear_range : t -> int -> int -> unit
-val count_set : t -> int
-(** Population count (cached, O(1) amortised). *)
+val find_clear : bytes -> int -> len:int -> hint:int -> int option
+(** First clear bit of a [len]-bit bitmap scanning circularly: from
+    [hint mod len] to the end, then from 0 up to the hint. *)
 
-val count_clear : t -> int
-
-val find_clear : t -> hint:int -> int option
-(** First clear bit scanning circularly from [hint]. *)
-
-val find_clear_run : t -> hint:int -> len:int -> int option
-(** [find_clear_run t ~hint ~len] finds the start of a run of [len]
-    consecutive clear bits, scanning circularly from [hint].  Runs do not wrap
-    around the end of the bitmap. *)
-
-val find_clear_in : t -> lo:int -> hi:int -> int option
+val find_clear_in : bytes -> int -> lo:int -> hi:int -> int option
 (** First clear bit in [\[lo, hi)], or [None]. *)
 
-val is_clear_run : t -> int -> int -> bool
-(** [is_clear_run t off len] is [true] iff all [len] bits from [off] are
-    clear. *)
+val all_clear : bytes -> int -> off:int -> len:int -> bool
+(** Are all [len] bits from [off] clear? *)
 
-val copy : t -> t
-val to_bytes : t -> bytes
-(** Serialise (little-endian bit order within each byte). *)
-
-val of_bytes : int -> bytes -> t
-(** [of_bytes n b] deserialises an [n]-bit bitmap from [b]. *)
-
-val equal : t -> t -> bool
-
-val iter_set : t -> (int -> unit) -> unit
-(** Apply a function to every set bit index, ascending. *)
+val count_clear : bytes -> int -> off:int -> len:int -> int
+(** Number of clear bits among the [len] bits from [off]. *)

@@ -1,7 +1,7 @@
 (** The file-system interfaces.
 
     {!LOW} is what a concrete file system implements (inode-level
-    operations); {!Pathfs.Make} lifts it to the path-based {!S} that
+    operations); {!Pathfs.MakeWith} lifts it to the path-based {!S} that
     workloads, examples and benchmarks program against, so every workload
     runs unchanged on FFS and on any C-FFS configuration. *)
 

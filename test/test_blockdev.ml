@@ -73,8 +73,8 @@ let test_timed_advances_clock () =
 
 let test_write_batch_counts () =
   let dev = timed () in
-  Blockdev.write_batch dev [ (1, block 'a'); (2, block 'b'); (3, block 'c') ];
-  (* No clustering in write_batch: one request per block. *)
+  Blockdev.write_batch_units dev [ (1, [ block 'a' ]); (2, [ block 'b' ]); (3, [ block 'c' ]) ];
+  (* No clustering across units: one request per single-block unit. *)
   check Alcotest.int "3 requests" 3 (Blockdev.stats dev).Request.Stats.writes;
   check Alcotest.bytes "stored" (block 'b') (Blockdev.read dev 2 1)
 
@@ -151,7 +151,7 @@ let test_clook_batch_cheaper_than_fcfs () =
           end)
         batch
     in
-    Blockdev.write_batch dev batch;
+    Blockdev.write_batch_units dev (List.map (fun (b, d) -> (b, [ d ])) batch);
     Blockdev.now dev
   in
   let fcfs = run Cffs_disk.Scheduler.Fcfs in

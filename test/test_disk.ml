@@ -8,6 +8,7 @@ module Drive = Cffs_disk.Drive
 module Dcache = Cffs_disk.Dcache
 module Request = Cffs_disk.Request
 module Scheduler = Cffs_disk.Scheduler
+module Ioqueue = Cffs_disk.Ioqueue
 module Prng = Cffs_util.Prng
 
 let check = Alcotest.check
@@ -303,49 +304,53 @@ let test_random_4k_access_time_plausible () =
   check Alcotest.bool "random 4K ~17ms" true (avg_ms > 13.0 && avg_ms < 21.0)
 
 (* ------------------------------------------------------------------ *)
-(* Schedulers *)
+(* Schedulers, as [Ioqueue.take] applies them *)
 
-let mk_reqs lbas = List.map (fun lba -> Request.write ~lba ~sectors:8) lbas
-
-let lbas_of reqs = List.map (fun (r : Request.t) -> r.Request.lba) reqs
+(* Dispatch order of one sweep (the window holds the whole batch), the
+   head starting at lba 50000 and moving to each dispatched request. *)
+let dispatch_order policy lbas =
+  let g = Geometry.of_profile st31200 in
+  let q : unit Ioqueue.t = Ioqueue.create ~policy () in
+  List.iter
+    (fun lba -> ignore (Ioqueue.submit q (Request.write ~lba ~sectors:8) () ~now:0.0))
+    lbas;
+  let rec go cyl acc =
+    match Ioqueue.take q ~geom:(Some g) ~current_cyl:cyl with
+    | None -> List.rev acc
+    | Some group ->
+        let lba = (List.hd group).Ioqueue.req.Request.lba in
+        go (Geometry.cyl_of_lba g lba) (lba :: acc)
+  in
+  go (Geometry.cyl_of_lba g 50000) []
 
 let test_scheduler_fcfs () =
-  let g = Geometry.of_profile st31200 in
-  let reqs = mk_reqs [ 500; 100; 900 ] in
   check (Alcotest.list Alcotest.int) "fcfs keeps order" [ 500; 100; 900 ]
-    (lbas_of (Scheduler.order Scheduler.Fcfs g ~current_cyl:0 reqs))
+    (dispatch_order Scheduler.Fcfs [ 500; 100; 900 ])
 
 let test_scheduler_clook () =
-  let g = Geometry.of_profile st31200 in
-  let cur = Geometry.cyl_of_lba g 50000 in
-  let reqs = mk_reqs [ 10000; 60000; 40000; 90000 ] in
   check (Alcotest.list Alcotest.int) "ascending from current, then wrap"
     [ 60000; 90000; 10000; 40000 ]
-    (lbas_of (Scheduler.order Scheduler.Clook g ~current_cyl:cur reqs))
+    (dispatch_order Scheduler.Clook [ 10000; 60000; 40000; 90000 ])
 
 let test_scheduler_sstf () =
-  let g = Geometry.of_profile st31200 in
-  let cur = Geometry.cyl_of_lba g 50000 in
-  let reqs = mk_reqs [ 10000; 60000; 90000 ] in
   check (Alcotest.list Alcotest.int) "greedy nearest" [ 60000; 90000; 10000 ]
-    (lbas_of (Scheduler.order Scheduler.Sstf g ~current_cyl:cur reqs))
+    (dispatch_order Scheduler.Sstf [ 10000; 60000; 90000 ])
 
 let qcheck_schedulers_preserve_requests =
   qtest "schedulers: output is a permutation of input"
     QCheck.(pair (int_bound 2) (list_of_size (Gen.int_range 0 30)
               (int_bound (Profile.total_sectors st31200 - 8))))
     (fun (which, lbas) ->
-      let g = Geometry.of_profile st31200 in
       let policy =
         match which with 0 -> Scheduler.Fcfs | 1 -> Scheduler.Clook | _ -> Scheduler.Sstf
       in
-      let reqs = mk_reqs lbas in
-      let out = Scheduler.order policy g ~current_cyl:100 reqs in
-      List.sort compare (lbas_of out) = List.sort compare lbas)
+      List.sort compare (dispatch_order policy lbas) = List.sort compare lbas)
 
 let test_scheduler_names () =
   check (Alcotest.option Alcotest.string) "parse clook" (Some "C-LOOK")
     (Option.map Scheduler.policy_name (Scheduler.policy_of_string "c-look"));
+  check (Alcotest.option Alcotest.string) "parse fifo" (Some "FCFS")
+    (Option.map Scheduler.policy_name (Scheduler.policy_of_string "FIFO"));
   check Alcotest.bool "parse junk" true (Scheduler.policy_of_string "elevator?" = None)
 
 let () =

@@ -76,9 +76,14 @@ let test_starvation_bound () =
     Ioqueue.create ~depth ~policy:Scheduler.Clook ()
   in
   let now = ref 0.0 in
+  (* Undispatched tags in submission order, each with the number of takes
+     that passed it over while it sat in the window.  The window holds the
+     [depth] oldest undispatched requests (promotion is FIFO). *)
+  let waiting = ref [] in
   let submit blk =
     now := !now +. 1.0;
-    ignore (Ioqueue.submit q (Request.read ~lba:(blk * 8) ~sectors:8) () ~now:!now)
+    let tag = Ioqueue.submit q (Request.read ~lba:(blk * 8) ~sectors:8) () ~now:!now in
+    waiting := !waiting @ [ (tag, ref 0) ]
   in
   (* A far-away victim, then an adversarial stream of low-lba requests that
      C-LOOK always prefers within a sweep. *)
@@ -91,10 +96,15 @@ let test_starvation_bound () =
     (match Ioqueue.take q ~geom:None ~current_cyl:0 with
     | None -> ()
     | Some group ->
-        List.iter
-          (fun (it : unit Ioqueue.item) ->
-            worst := max !worst it.Ioqueue.passes)
-          group;
+        let dispatched (tag, _) =
+          List.exists (fun (it : unit Ioqueue.item) -> it.Ioqueue.tag = tag) group
+        in
+        List.iteri
+          (fun i ((_, passes) as w) ->
+            if dispatched w then worst := max !worst !passes
+            else if i < depth then incr passes)
+          !waiting;
+        waiting := List.filter (fun w -> not (dispatched w)) !waiting;
         incr served);
     (* keep the queue hot so a non-sweeping scheduler would starve blk 900 *)
     if !served < 50 then begin

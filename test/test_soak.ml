@@ -100,15 +100,20 @@ let remap_persistence seed =
   let model = Hashtbl.create 128 in
   let snaps = ref [] in
   for round = 0 to 2 do
-    (* poison free blocks before allocating, so fresh writes land on them *)
-    let marked = ref 0 and attempts = ref 0 in
-    while !marked < 48 && !attempts < 1000 do
-      incr attempts;
-      let blk = 1 + Prng.int prng (Csb.total_blocks sb) in
-      if not (Cffs.block_in_use fs blk) then begin
-        Faultdev.mark_bad fdev blk;
-        incr marked
-      end
+    (* Poison blocks the allocator is about to hand out, so fresh writes
+       land on them: 16 drawn from the 64 lowest free blocks.  Three
+       rounds stay within the volume's 64 spare blocks. *)
+    let rec lowest_free blk n acc =
+      if n = 0 || blk > Csb.total_blocks sb then Array.of_list acc
+      else if Cffs.block_in_use fs blk then lowest_free (blk + 1) n acc
+      else lowest_free (blk + 1) (n - 1) (blk :: acc)
+    in
+    let free = lowest_free 1 64 [] in
+    for i = 0 to min 16 (Array.length free) - 1 do
+      let j = i + Prng.int prng (Array.length free - i) in
+      let blk = free.(j) in
+      free.(j) <- free.(i);
+      Faultdev.mark_bad fdev blk
     done;
     for i = 0 to 29 do
       let path = Printf.sprintf "/r%d_f%02d" round i in

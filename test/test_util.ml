@@ -184,82 +184,134 @@ let qcheck_stats_mean_welford =
       Float.abs (Stats.mean s -. naive) < 1e-6 *. (1.0 +. Float.abs naive))
 
 (* ------------------------------------------------------------------ *)
-(* Bitmap *)
+(* Bitmap: the on-disk format, addressed in place at a non-zero offset. *)
+
+let bm_base = 5
+
+(* A header-like buffer: [bm_base] leading bytes, the bitmap, two
+   trailing bytes. *)
+let bm_buf nbits = Bytes.make (bm_base + ((nbits + 7) / 8) + 2) '\000'
+
+let clear_count b n = Bitmap.count_clear b bm_base ~off:0 ~len:n
 
 let test_bitmap_basic () =
-  let b = Bitmap.create 100 in
-  check Alcotest.int "all clear" 0 (Bitmap.count_set b);
-  Bitmap.set b 7;
-  Bitmap.set b 99;
-  check Alcotest.bool "get 7" true (Bitmap.get b 7);
-  check Alcotest.bool "get 8" false (Bitmap.get b 8);
-  check Alcotest.int "count" 2 (Bitmap.count_set b);
-  Bitmap.clear b 7;
-  check Alcotest.int "count after clear" 1 (Bitmap.count_set b);
-  Bitmap.set b 99;
-  check Alcotest.int "idempotent set" 1 (Bitmap.count_set b)
+  let b = bm_buf 100 in
+  check Alcotest.int "all clear" 100 (clear_count b 100);
+  Bitmap.set b bm_base 7;
+  Bitmap.set b bm_base 99;
+  check Alcotest.bool "get 7" true (Bitmap.get b bm_base 7);
+  check Alcotest.bool "get 8" false (Bitmap.get b bm_base 8);
+  check Alcotest.int "count" 98 (clear_count b 100);
+  Bitmap.clear b bm_base 7;
+  check Alcotest.int "count after clear" 99 (clear_count b 100);
+  Bitmap.set b bm_base 99;
+  check Alcotest.int "idempotent set" 99 (clear_count b 100);
+  Bitmap.clear b bm_base 7;
+  check Alcotest.int "idempotent clear" 99 (clear_count b 100)
 
 let test_bitmap_ranges () =
-  let b = Bitmap.create 64 in
-  Bitmap.set_range b 10 20;
-  check Alcotest.int "range count" 20 (Bitmap.count_set b);
-  check Alcotest.bool "run check" true (Bitmap.is_clear_run b 30 34);
-  check Alcotest.bool "run overlap" false (Bitmap.is_clear_run b 25 10);
-  Bitmap.clear_range b 10 20;
-  check Alcotest.int "cleared" 0 (Bitmap.count_set b)
+  let b = bm_buf 64 in
+  for i = 10 to 29 do
+    Bitmap.set b bm_base i
+  done;
+  check Alcotest.int "range count" 44 (clear_count b 64);
+  check Alcotest.int "none clear inside" 0 (Bitmap.count_clear b bm_base ~off:10 ~len:20);
+  check Alcotest.bool "run check" true (Bitmap.all_clear b bm_base ~off:30 ~len:34);
+  check Alcotest.bool "run overlap" false (Bitmap.all_clear b bm_base ~off:25 ~len:10);
+  check Alcotest.bool "empty run" true (Bitmap.all_clear b bm_base ~off:12 ~len:0)
 
 let test_bitmap_find_clear () =
-  let b = Bitmap.create 16 in
-  Bitmap.set_range b 0 16;
-  check (Alcotest.option Alcotest.int) "full" None (Bitmap.find_clear b ~hint:3);
-  Bitmap.clear b 5;
-  check (Alcotest.option Alcotest.int) "finds 5 from 3" (Some 5) (Bitmap.find_clear b ~hint:3);
-  check (Alcotest.option Alcotest.int) "wraps from 10" (Some 5) (Bitmap.find_clear b ~hint:10)
+  let b = bm_buf 16 in
+  for i = 0 to 15 do
+    Bitmap.set b bm_base i
+  done;
+  let find hint = Bitmap.find_clear b bm_base ~len:16 ~hint in
+  check (Alcotest.option Alcotest.int) "full" None (find 3);
+  Bitmap.clear b bm_base 5;
+  check (Alcotest.option Alcotest.int) "finds 5 from 3" (Some 5) (find 3);
+  check (Alcotest.option Alcotest.int) "wraps from 10" (Some 5) (find 10);
+  check (Alcotest.option Alcotest.int) "hint taken mod len" (Some 5) (find 21)
 
-let test_bitmap_find_run () =
-  let b = Bitmap.create 64 in
-  Bitmap.set_range b 0 30;
-  Bitmap.set_range b 40 10;
+let test_bitmap_find_clear_in () =
+  let b = bm_buf 64 in
+  for i = 0 to 63 do
+    if i < 30 || (i >= 40 && i < 50) then Bitmap.set b bm_base i
+  done;
   (* free: 30..39 and 50..63 *)
-  check (Alcotest.option Alcotest.int) "run of 10 at 30" (Some 30)
-    (Bitmap.find_clear_run b ~hint:0 ~len:10);
-  check (Alcotest.option Alcotest.int) "run of 14" (Some 50)
-    (Bitmap.find_clear_run b ~hint:0 ~len:14);
-  check (Alcotest.option Alcotest.int) "no run of 15" None
-    (Bitmap.find_clear_run b ~hint:0 ~len:15)
+  let find lo hi = Bitmap.find_clear_in b bm_base ~lo ~hi in
+  check (Alcotest.option Alcotest.int) "first free" (Some 30) (find 0 64);
+  check (Alcotest.option Alcotest.int) "from inside a free run" (Some 35) (find 35 64);
+  check (Alcotest.option Alcotest.int) "none in a full range" None (find 40 50);
+  check (Alcotest.option Alcotest.int) "skips the full range" (Some 50) (find 45 60)
 
+(* Bit i is bit (i mod 8) of byte (base + i / 8); bytes around the bitmap
+   are never touched. *)
 let test_bitmap_serialise () =
-  let b = Bitmap.create 77 in
-  List.iter (Bitmap.set b) [ 0; 13; 64; 76 ];
-  let b' = Bitmap.of_bytes 77 (Bitmap.to_bytes b) in
-  check Alcotest.bool "roundtrip equal" true (Bitmap.equal b b');
-  check Alcotest.int "count preserved" 4 (Bitmap.count_set b')
+  let b = bm_buf 77 in
+  List.iter (Bitmap.set b bm_base) [ 0; 13; 64; 76 ];
+  let expect = bm_buf 77 in
+  List.iter
+    (fun (byte, v) -> Bytes.set expect (bm_base + byte) (Char.chr v))
+    [ (0, 0x01); (1, 0x20); (8, 0x01); (9, 0x10) ];
+  check Alcotest.bytes "set layout" expect b;
+  let b = Bytes.make (Bytes.length b) '\xff' in
+  List.iter (Bitmap.clear b bm_base) [ 0; 13; 64; 76 ];
+  check Alcotest.bytes "clear layout"
+    (Bytes.map (fun c -> Char.chr (lnot (Char.code c) land 0xff)) expect)
+    b
 
 let qcheck_bitmap_model =
   qtest "bitmap: set/clear agrees with a boolean-array model"
     QCheck.(list (pair (int_bound 199) bool))
     (fun ops ->
-      let b = Bitmap.create 200 in
+      let b = bm_buf 200 in
       let model = Array.make 200 false in
       List.iter
         (fun (i, set) ->
-          if set then Bitmap.set b i else Bitmap.clear b i;
+          if set then Bitmap.set b bm_base i else Bitmap.clear b bm_base i;
           model.(i) <- set)
         ops;
       let ok = ref true in
-      Array.iteri (fun i v -> if Bitmap.get b i <> v then ok := false) model;
+      Array.iteri (fun i v -> if Bitmap.get b bm_base i <> v then ok := false) model;
       !ok
-      && Bitmap.count_set b = Array.fold_left (fun a v -> if v then a + 1 else a) 0 model)
+      && clear_count b 200
+         = Array.fold_left (fun a v -> if v then a else a + 1) 0 model)
 
-let qcheck_bitmap_run_is_clear =
-  qtest "bitmap: find_clear_run returns genuinely clear runs"
-    QCheck.(pair (list (int_bound 127)) (int_range 1 16))
-    (fun (sets, len) ->
-      let b = Bitmap.create 128 in
-      List.iter (Bitmap.set b) sets;
-      match Bitmap.find_clear_run b ~hint:0 ~len with
-      | None -> true
-      | Some off -> Bitmap.is_clear_run b off len)
+(* Random header bytes (mostly-full bytes, so the hinted scan often has
+   to wrap), a random base and random ranges: every scan agrees with a
+   naive reference that reads the bits by hand. *)
+let qcheck_bitmap_naive =
+  let gen =
+    QCheck.Gen.(
+      let* base = int_range 1 16 in
+      let* nbytes = int_range 1 24 in
+      let byte = frequency [ (3, return '\xff'); (1, char) ] in
+      let* hdr = string_size ~gen:byte (return (base + nbytes)) in
+      let bits = nbytes * 8 in
+      let* len = int_range 1 bits in
+      let* hint = int_bound (3 * len) in
+      let* lo = int_bound len in
+      let* n = int_bound (len - lo) in
+      return (base, hdr, len, hint, lo, n))
+  in
+  let print (base, hdr, len, hint, lo, n) =
+    Printf.sprintf "base=%d hdr=%S len=%d hint=%d lo=%d n=%d" base hdr len hint lo n
+  in
+  qtest "bitmap: hinted find and range checks agree with a naive scan"
+    (QCheck.make ~print gen)
+    (fun (base, hdr, len, hint, lo, n) ->
+      let b = Bytes.of_string hdr in
+      let bit i = (Char.code hdr.[base + (i / 8)] lsr (i mod 8)) land 1 = 1 in
+      let first_clear idxs = List.find_opt (fun i -> not (bit i)) idxs in
+      let h = hint mod len in
+      let range lo n = List.init n (fun k -> lo + k) in
+      Bitmap.find_clear b base ~len ~hint = first_clear (range h (len - h) @ range 0 h)
+      && Bitmap.find_clear_in b base ~lo ~hi:(lo + n) = first_clear (range lo n)
+      && Bitmap.all_clear b base ~off:lo ~len:n = List.for_all (fun i -> not (bit i)) (range lo n)
+      && Bitmap.count_clear b base ~off:lo ~len:n
+         = List.length (List.filter (fun i -> not (bit i)) (range lo n))
+      && List.for_all (fun i -> Bitmap.get b base i = bit i) (range 0 len)
+      && Bytes.to_string b = hdr)
 
 (* ------------------------------------------------------------------ *)
 (* Lru *)
@@ -464,10 +516,10 @@ let () =
           Alcotest.test_case "basic" `Quick test_bitmap_basic;
           Alcotest.test_case "ranges" `Quick test_bitmap_ranges;
           Alcotest.test_case "find_clear" `Quick test_bitmap_find_clear;
-          Alcotest.test_case "find_clear_run" `Quick test_bitmap_find_run;
+          Alcotest.test_case "find_clear_in" `Quick test_bitmap_find_clear_in;
           Alcotest.test_case "serialise" `Quick test_bitmap_serialise;
           qcheck_bitmap_model;
-          qcheck_bitmap_run_is_clear;
+          qcheck_bitmap_naive;
         ] );
       ( "lru",
         [
