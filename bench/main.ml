@@ -146,6 +146,21 @@ let core_tests =
               else scan (off + gb)
             in
             fun () -> ignore (scan 1)));
+      (* One cache-flush-sized window: 2000 shuffled, non-overlapping 4 KB
+         writes submitted to an unbounded FCFS queue and drained, with no
+         geometry (a memory device). *)
+      Test.make ~name:"ioqueue_drain_2000"
+        (Staged.stage
+           (let module Ioqueue = Cffs_disk.Ioqueue in
+            let blocks = Array.init 2000 (fun i -> i) in
+            Cffs_util.Prng.shuffle (Cffs_util.Prng.create 7) blocks;
+            let reqs = Array.map (fun b -> Request.write ~lba:(8 * b) ~sectors:8) blocks in
+            fun () ->
+              let q : unit Ioqueue.t = Ioqueue.create () in
+              Array.iter (fun r -> ignore (Ioqueue.submit q r () ~now:0.0)) reqs;
+              while Option.is_some (Ioqueue.take q ~geom:None ~current_cyl:0) do
+                ()
+              done));
     ]
 
 let run_bechamel () =

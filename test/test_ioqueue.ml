@@ -6,6 +6,7 @@
 module Ioqueue = Cffs_disk.Ioqueue
 module Scheduler = Cffs_disk.Scheduler
 module Request = Cffs_disk.Request
+module Geometry = Cffs_disk.Geometry
 module Blockdev = Cffs_blockdev.Blockdev
 module Drive = Cffs_disk.Drive
 module Profile = Cffs_disk.Profile
@@ -338,6 +339,219 @@ let test_pinned_survive_teardown () =
   check Alcotest.bytes "persisted" (block 'd') (Blockdev.read dev 7 1)
 
 (* ------------------------------------------------------------------ *)
+(* Differential oracle: the indexed queue against the original list
+   implementation (test/ioqueue_oracle.ml).  Random interleavings of
+   submit, take and the three setters, over every policy, coalescing on
+   and off, depth 1 / 2-16 / unbounded and no geometry / the ST31200.
+   Requests come from a narrow span so that duplicate and partly
+   overlapping same-kind requests compete for the same coalescing
+   boundary.  Every take must return the same group (tags in order), and
+   every step the same [pending] and the same counter increments. *)
+
+module Oracle = Ioqueue_oracle
+module Registry = Cffs_obs.Registry
+
+type op =
+  | Submit of Request.kind * int * int  (* kind, lba, sectors *)
+  | Take of int  (* current cylinder *)
+  | Set_policy of Scheduler.policy
+  | Set_coalesce of bool
+  | Set_depth of int
+
+let st31200 = Drive.geometry (Drive.create Profile.seagate_st31200)
+
+let pp_op = function
+  | Submit (k, lba, n) ->
+      Printf.sprintf "%s %d+%d" (if k = Request.Read then "R" else "W") lba n
+  | Take c -> Printf.sprintf "take@%d" c
+  | Set_policy p -> Scheduler.policy_name p
+  | Set_coalesce c -> Printf.sprintf "coalesce=%b" c
+  | Set_depth d -> Printf.sprintf "depth=%d" d
+
+let depth_gen =
+  QCheck.Gen.(frequency [ (1, return 1); (2, int_range 2 16); (1, return max_int) ])
+
+let policy_gen = QCheck.Gen.oneofl policies
+
+(* Every request lies in a 56-sector span (one per cylinder band when a
+   geometry is in play); half are block-aligned 4 KB multiples so that
+   adjacency, and therefore coalescing, is common. *)
+let op_gen ~geom =
+  let open QCheck.Gen in
+  let band = if geom then map (fun b -> b * 960) (int_bound 3) else return 0 in
+  let submit =
+    map3
+      (fun kind base (lba, n) -> Submit (kind, base + lba, n))
+      (oneofl [ Request.Read; Request.Write ])
+      band
+      (oneof
+         [
+           map2 (fun b n -> (8 * b, 8 * n)) (int_bound 5) (int_range 1 2);
+           pair (int_bound 40) (int_range 1 12);
+         ])
+  in
+  frequency
+    [
+      (10, submit);
+      (5, map (fun c -> Take c) (if geom then int_bound 4 else int_bound 60));
+      (1, map (fun p -> Set_policy p) policy_gen);
+      (1, map (fun c -> Set_coalesce c) bool);
+      (1, map (fun d -> Set_depth d) depth_gen);
+    ]
+
+let case_gen =
+  let open QCheck.Gen in
+  bool >>= fun geom ->
+  map2
+    (fun cfg ops -> (geom, cfg, ops))
+    (triple policy_gen bool depth_gen)
+    (list_size (int_range 1 80) (op_gen ~geom))
+
+let print_case (geom, (policy, coalesce, depth), ops) =
+  Printf.sprintf "geom=%b policy=%s coalesce=%b depth=%d ops=[%s]" geom
+    (Scheduler.policy_name policy) coalesce depth
+    (String.concat "; " (List.map pp_op ops))
+
+let counters =
+  List.map Registry.counter
+    [ "ioqueue.submitted"; "ioqueue.dispatched"; "ioqueue.coalesced"; "ioqueue.sweeps" ]
+
+let counts () = List.map Registry.counter_value counters
+
+(* Run [f] and return its result with the counter increments it made. *)
+let counted f =
+  let before = counts () in
+  let r = f () in
+  (r, List.map2 ( - ) (counts ()) before)
+
+let prop_matches_oracle (geom, (policy, coalesce, depth), ops) =
+  let geom = if geom then Some st31200 else None in
+  let q : unit Ioqueue.t = Ioqueue.create ~depth ~policy ~coalesce () in
+  let o : unit Oracle.t = Oracle.create ~depth ~policy ~coalesce () in
+  let step what fq fo =
+    let rq, cq = counted fq and ro, co = counted fo in
+    if rq <> ro then QCheck.Test.fail_reportf "%s: queue %s, oracle %s" what rq ro;
+    if cq <> co then QCheck.Test.fail_reportf "%s: counter increments differ" what;
+    if Ioqueue.pending q <> Oracle.pending o then
+      QCheck.Test.fail_reportf "%s: pending %d vs %d" what (Ioqueue.pending q)
+        (Oracle.pending o)
+  in
+  let show tags = function
+    | None -> "none"
+    | Some g -> String.concat "," (List.map string_of_int (tags g))
+  in
+  let qtags = List.map (fun (it : unit Ioqueue.item) -> it.Ioqueue.tag)
+  and otags = List.map (fun (it : unit Oracle.item) -> it.Oracle.tag) in
+  let take cyl =
+    let g = ref None in
+    step (Printf.sprintf "take@%d" cyl)
+      (fun () ->
+        let r = Ioqueue.take q ~geom ~current_cyl:cyl in
+        g := Option.map (fun grp -> (List.hd grp : unit Ioqueue.item).Ioqueue.req) r;
+        show qtags r)
+      (fun () -> show otags (Oracle.take o ~geom ~current_cyl:cyl));
+    !g
+  in
+  List.iter
+    (fun op ->
+      match op with
+      | Submit (kind, lba, sectors) ->
+          let req = { Request.lba; sectors; kind } in
+          step (pp_op op)
+            (fun () -> string_of_int (Ioqueue.submit q req () ~now:0.0))
+            (fun () -> string_of_int (Oracle.submit o req () ~now:0.0))
+      | Take cyl -> ignore (take cyl)
+      | Set_policy p ->
+          Ioqueue.set_policy q p;
+          Oracle.set_policy o p
+      | Set_coalesce c ->
+          Ioqueue.set_coalesce q c;
+          Oracle.set_coalesce o c
+      | Set_depth d ->
+          Ioqueue.set_depth q d;
+          Oracle.set_depth o d)
+    ops;
+  (* drain the rest with the drain loop's head convention *)
+  let rec drain cyl =
+    match take cyl with
+    | None -> ()
+    | Some r -> drain (match geom with Some g -> Geometry.cyl_of_lba g r.Request.lba | None -> r.Request.lba)
+  in
+  drain 0;
+  Ioqueue.is_empty q && Oracle.is_empty o
+
+let qcheck_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 1997 |])
+    (QCheck.Test.make ~count:3000
+       ~name:"same groups, pending and counters as the list oracle"
+       (QCheck.make ~print:print_case case_gen)
+       prop_matches_oracle)
+
+(* ------------------------------------------------------------------ *)
+(* Retention: a dispatched request's payload must not stay reachable from
+   the queue.  500 writes whose buffers are tracked by a weak array are
+   drained under a coalescing C-LOOK window with overlaps; once the caller
+   drops them, a full major collection must free every buffer while the
+   queue itself is still alive. *)
+
+let[@inline never] submit_tracked q weak =
+  let prng = Prng.create 11 in
+  for i = 0 to Weak.length weak - 1 do
+    let buf = Bytes.make 64 'w' in
+    Weak.set weak i (Some buf);
+    let lba = 8 * Prng.int prng 300 in
+    ignore (Ioqueue.submit q (Request.write ~lba ~sectors:(8 * (1 + (i mod 2)))) buf ~now:0.0)
+  done
+
+let[@inline never] drain_dropping q =
+  let rec go cyl n =
+    match Ioqueue.take q ~geom:None ~current_cyl:cyl with
+    | None -> n
+    | Some group ->
+        go (List.hd group).Ioqueue.req.Request.lba (n + List.length group)
+  in
+  go 0 0
+
+let test_no_retention () =
+  let weak = Weak.create 500 in
+  let q : Bytes.t Ioqueue.t = Ioqueue.create ~policy:Scheduler.Clook ~coalesce:true () in
+  submit_tracked q weak;
+  check Alcotest.int "all dispatched" 500 (drain_dropping q);
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to Weak.length weak - 1 do
+    if Weak.check weak i then incr live
+  done;
+  check Alcotest.int "payloads still reachable" 0 !live;
+  check Alcotest.bool "queue alive and empty" true (Ioqueue.is_empty (Sys.opaque_identity q))
+
+(* ------------------------------------------------------------------ *)
+(* Bounded time: a deep window drains in O(n log n).  32 000 shuffled,
+   non-overlapping 4 KB writes in one unbounded window, under FCFS and
+   under C-LOOK; each drain must finish within 2 s of CPU time (the list
+   implementation needs hours). *)
+
+let test_deep_drain policy () =
+  let n = 32_000 in
+  let blocks = Array.init n (fun i -> i) in
+  Prng.shuffle (Prng.create 5) blocks;
+  let q : unit Ioqueue.t = Ioqueue.create ~policy () in
+  let t0 = Sys.time () in
+  Array.iter
+    (fun b -> ignore (Ioqueue.submit q (Request.write ~lba:(8 * b) ~sectors:8) () ~now:0.0))
+    blocks;
+  let rec go cyl k =
+    match Ioqueue.take q ~geom:None ~current_cyl:cyl with
+    | None -> k
+    | Some group -> go (List.hd group).Ioqueue.req.Request.lba (k + List.length group)
+  in
+  let served = go 0 0 in
+  let dt = Sys.time () -. t0 in
+  check Alcotest.int "all dispatched" n served;
+  check Alcotest.bool (Printf.sprintf "drain took %.2f s, budget 2 s" dt) true (dt < 2.0)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "ioqueue"
@@ -348,6 +562,16 @@ let () =
           Alcotest.test_case "bounded starvation" `Quick test_starvation_bound;
           qcheck_policy_equivalent;
           qcheck_overlap_order;
+          qcheck_matches_oracle;
+        ] );
+      ( "indexes",
+        [
+          Alcotest.test_case "dispatched payloads are not retained" `Quick
+            test_no_retention;
+          Alcotest.test_case "32000-request drain, FCFS" `Quick
+            (test_deep_drain Scheduler.Fcfs);
+          Alcotest.test_case "32000-request drain, C-LOOK" `Quick
+            (test_deep_drain Scheduler.Clook);
         ] );
       ( "faults",
         [
