@@ -161,6 +161,31 @@ let core_tests =
               while Option.is_some (Ioqueue.take q ~geom:None ~current_cyl:0) do
                 ()
               done));
+      (* The CRC-32 kernel over one 4 KB block: the per-block cost of a
+         tagged write and of a verified read. *)
+      Test.make ~name:"crc32_4k"
+        (Staged.stage
+           (let b = Bytes.init 4096 (fun i -> Char.chr ((i * 131) land 0xff)) in
+            fun () -> ignore (Cffs_util.Crc32.digest b)));
+      (* One sync barrier's checksum-region rewrite on an ST31200-sized
+         memory device holding about as many tags (3 400) as one
+         smallfile-grouped-journal iteration leaves. *)
+      Test.make ~name:"integrity_flush_tags"
+        (Staged.stage
+           (let module Integrity = Cffs_blockdev.Integrity in
+            let nblocks =
+              Drive.total_sectors (Drive.create Profile.seagate_st31200)
+              * Cffs_util.Units.sector_size / 4096
+            in
+            let dev = Blockdev.memory ~block_size:4096 ~nblocks in
+            let ig = Integrity.format dev in
+            let prng = Cffs_util.Prng.create 11 in
+            for _ = 1 to 3400 do
+              Blockdev.set_tag dev
+                (Cffs_util.Prng.int prng (Integrity.data_blocks ig))
+                (Cffs_util.Prng.int prng 0x3fffffff)
+            done;
+            fun () -> Integrity.flush_tags ig));
     ]
 
 let run_bechamel () =

@@ -204,6 +204,17 @@ let rec tag_count t =
   | Multi m -> Array.fold_left (fun acc s -> acc + tag_count s) 0 m.subs
   | _ -> Hashtbl.length t.tags
 
+let iter_tags t f =
+  match t.backend with
+  | Multi m ->
+      Array.iteri
+        (fun i s ->
+          Hashtbl.iter
+            (fun pblk v -> List.iter (fun (_, lblk, _) -> f lblk v) (runs_of m i pblk 1))
+            s.tags)
+        m.subs
+  | _ -> Hashtbl.iter f t.tags
+
 let check_range t op blk n =
   if blk < 0 || n <= 0 || blk + n > t.nblocks then
     let spb = t.block_size / Cffs_util.Units.sector_size in

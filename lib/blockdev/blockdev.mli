@@ -106,6 +106,13 @@ val set_tag : t -> int -> int -> unit
 
 val tag_count : t -> int
 
+val iter_tags : t -> (int -> int -> unit) -> unit
+(** [iter_tags t f] calls [f blk tag] once for every block holding a tag,
+    keyed by logical block, in no particular order.  On a composite it
+    visits each subdevice's table and maps physical blocks back to
+    logical ones, so the cost is proportional to the number of tags, not
+    to the size of the device. *)
+
 val read : t -> int -> int -> bytes
 (** [read t blk n] reads [n] consecutive blocks as one request.  Unwritten
     blocks read as zeros.  Raises {!Cffs_util.Io_error.E} with cause

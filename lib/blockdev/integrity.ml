@@ -5,6 +5,8 @@ module Crc32 = Cffs_util.Crc32
 let m_ckfail = Cffs_obs.Registry.counter "integrity.checksum_failures"
 let m_remaps = Cffs_obs.Registry.counter "integrity.remaps"
 let m_degraded = Cffs_obs.Registry.counter "integrity.degraded_reads"
+let m_tag_flushes = Cffs_obs.Registry.counter "integrity.tag_flushes"
+let m_region_writes = Cffs_obs.Registry.counter "integrity.region_writes"
 
 let note_degraded () = Cffs_obs.Registry.incr m_degraded
 
@@ -158,23 +160,44 @@ let raw_read dev blk =
 
 (* --- Checksum region: the at-rest tag encoding --- *)
 
+(* Rewrite the region from the live tags.  The cost follows the tags, not
+   the device: the tagged blocks are bucketed by the region block that
+   encodes them, and each region block is encoded from its bucket alone.
+
+   Self-tag rule: region block [cb] is encoded just before it is written,
+   from tags read at that moment, and its range may cover the region
+   itself.  Writing a region block changes that block's own tag, so a
+   region block written later in the same call carries the {e new} tags
+   of those written before it — including, at format, blocks that had no
+   tag when the call began.  The region's own blocks therefore join every
+   bucket they fall in, and every tag is read live at encode time. *)
 let flush_tags t =
-  let bs = Blockdev.block_size t.dev in
+  Cffs_obs.Registry.incr m_tag_flushes;
+  let dev = t.dev in
+  let bs = Blockdev.block_size dev in
   let per = bs / 4 in
+  let buckets = Array.make t.csum_blocks [] in
+  Blockdev.iter_tags dev (fun blk _ ->
+      let cb = blk / per in
+      buckets.(cb) <- blk :: buckets.(cb));
+  let encode b lo blk =
+    match Blockdev.tag dev blk with
+    | None -> ()
+    | Some v ->
+        (* 0 encodes "no tag"; a genuine CRC of 0 (probability 2^-32) is
+           nudged to 1, accepting a vanishingly unlikely false alarm. *)
+        let v = if v <= 0 then 1 else v land 0xffffffff in
+        Codec.set_u32 b ((blk - lo) * 4) v
+  in
   for cb = 0 to t.csum_blocks - 1 do
     let b = Bytes.make bs '\000' in
     let lo = cb * per in
-    let hi = min (Blockdev.nblocks t.dev) (lo + per) - 1 in
-    for blk = lo to hi do
-      match Blockdev.tag t.dev blk with
-      | None -> ()
-      | Some v ->
-          (* 0 encodes "no tag"; a genuine CRC of 0 (probability 2^-32) is
-             nudged to 1, accepting a vanishingly unlikely false alarm. *)
-          let v = if v <= 0 then 1 else v land 0xffffffff in
-          Codec.set_u32 b ((blk - lo) * 4) v
+    List.iter (encode b lo) buckets.(cb);
+    for blk = max lo t.csum_start to min (lo + per) (t.csum_start + t.csum_blocks) - 1 do
+      encode b lo blk
     done;
-    Blockdev.write t.dev (t.csum_start + cb) b
+    Blockdev.write dev (t.csum_start + cb) b;
+    Cffs_obs.Registry.incr m_region_writes
   done
 
 let load_tags t =
@@ -296,25 +319,29 @@ let write t blk data =
    retries through {!write}, which remaps. *)
 let write_units t units =
   let translated = ref [] in
-  let emit run =
-    match run with
-    | [] -> ()
-    | (first, _) :: _ -> translated := (first, List.map snd run) :: !translated
-  in
   List.iter
     (fun (start, blocks) ->
-      let run = ref [] in
+      (* the current run of unremapped blocks, newest first *)
+      let run = ref [] and run_start = ref start in
+      let emit () =
+        match !run with
+        | [] -> ()
+        | rev ->
+            translated := (!run_start, List.rev rev) :: !translated;
+            run := []
+      in
       List.iteri
         (fun i data ->
           let lblk = start + i in
           match Hashtbl.find_opt t.remap lblk with
-          | None -> run := !run @ [ (lblk, data) ]
+          | None ->
+              if !run == [] then run_start := lblk;
+              run := data :: !run
           | Some p ->
-              emit !run;
-              run := [];
+              emit ();
               translated := (p, [ data ]) :: !translated)
         blocks;
-      emit !run)
+      emit ())
     units;
   Blockdev.write_batch_units t.dev (List.rev !translated)
 

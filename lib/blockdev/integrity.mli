@@ -59,8 +59,11 @@ val write_units : t -> (int * bytes list) list -> unit
     retries through {!write}, which remaps). *)
 
 val flush_tags : t -> unit
-(** Rewrite the checksum region from the live tag table.  Call at sync
-    barriers so a cold {!attach} sees tags as of the last sync. *)
+(** Rewrite the checksum region from the live tag table, one single-block
+    write per region block, in region order.  Call at sync barriers so a
+    cold {!attach} sees tags as of the last sync.  Host cost is
+    proportional to the tagged blocks plus the region blocks, not to the
+    device size. *)
 
 (** {1 Remap introspection} *)
 

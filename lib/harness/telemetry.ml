@@ -136,6 +136,8 @@ let integrity_json () =
          "integrity.checksum_failures";
          "integrity.remaps";
          "integrity.degraded_reads";
+         "integrity.tag_flushes";
+         "integrity.region_writes";
          "scrub.blocks_verified";
        ])
 

@@ -431,6 +431,142 @@ let test_faultdev_barrier_bounds_journal () =
   check Alcotest.bytes "post-barrier write replayed" (block 'c')
     (Blockdev.read img2 3 1)
 
+(* --- Checksum region: the bucketed encoder against the original ------- *)
+
+(* The region encoder as it was before tagged blocks were bucketed: one
+   tag lookup per device block, each region block encoded just before it
+   is written.  The region starts right after the data area and holds
+   4 bytes per device block. *)
+let oracle_flush_tags dev ~csum_start =
+  let bs = Blockdev.block_size dev in
+  let per = bs / 4 in
+  let csum_blocks = ((Blockdev.nblocks dev * 4) + bs - 1) / bs in
+  for cb = 0 to csum_blocks - 1 do
+    let b = Bytes.make bs '\000' in
+    let lo = cb * per in
+    let hi = min (Blockdev.nblocks dev) (lo + per) - 1 in
+    for blk = lo to hi do
+      match Blockdev.tag dev blk with
+      | None -> ()
+      | Some v ->
+          let v = if v <= 0 then 1 else v land 0xffffffff in
+          Cffs_util.Codec.set_u32 b ((blk - lo) * 4) v
+    done;
+    Blockdev.write dev (csum_start + cb) b
+  done
+
+let striped2 () =
+  (Cffs_volume.Volume.create_memory ~stripe_unit:64 ~block_size:4096
+     ~nblocks:4096 ~drives:2 ~layout:Cffs_volume.Volume.Striped ())
+    .Cffs_volume.Volume.dev
+
+(* Old and new encoders run on two devices with the same history (the
+   second restored from a snapshot of the first) must leave identical
+   region blocks: at format — where the last region block covers the
+   region itself, so it must carry the tags the earlier region blocks
+   gained moments before in the same call — after writes plus a flush,
+   and after a second flush. *)
+let test_region_matches_oracle mk () =
+  let a = mk () and b = mk () in
+  let ig = Integrity.format ~spare_blocks:16 a in
+  let csum_start = Integrity.data_blocks ig in
+  let csum_blocks = ((Blockdev.nblocks a * 4) + 4095) / 4096 in
+  check Alcotest.bool "several region blocks" true (csum_blocks >= 2);
+  let same point =
+    for cb = 0 to csum_blocks - 1 do
+      check Alcotest.bytes
+        (Printf.sprintf "%s: region block %d" point cb)
+        (Blockdev.read b (csum_start + cb) 1)
+        (Blockdev.read a (csum_start + cb) 1)
+    done
+  in
+  (* format = enable tags, write map A then map B, flush the region *)
+  let nb = Blockdev.nblocks a in
+  Blockdev.enable_tags b;
+  List.iter (fun blk -> Blockdev.write b blk (Blockdev.read a blk 1)) [ nb - 2; nb - 1 ];
+  oracle_flush_tags b ~csum_start;
+  same "format";
+  let prng = Prng.create 9 in
+  let flush_both point =
+    Blockdev.restore b (Blockdev.snapshot a);
+    Integrity.flush_tags ig;
+    oracle_flush_tags b ~csum_start;
+    same point
+  in
+  for _ = 1 to 300 do
+    Integrity.write ig
+      (Prng.int prng (Integrity.data_blocks ig))
+      (block (Char.chr (97 + Prng.int prng 26)))
+  done;
+  flush_both "writes + flush";
+  flush_both "second flush"
+
+(* [iter_tags] visits exactly the blocks [tag] reports, by logical block,
+   on a flat device and through a composite's extent map. *)
+let test_iter_tags mk () =
+  let dev = mk () in
+  Blockdev.enable_tags dev;
+  let prng = Prng.create 4 in
+  for _ = 1 to 200 do
+    Blockdev.write dev (Prng.int prng (Blockdev.nblocks dev)) (block 'i')
+  done;
+  let seen = ref [] in
+  Blockdev.iter_tags dev (fun blk v -> seen := (blk, v) :: !seen);
+  let expect = ref [] in
+  for blk = Blockdev.nblocks dev - 1 downto 0 do
+    match Blockdev.tag dev blk with Some v -> expect := (blk, v) :: !expect | None -> ()
+  done;
+  check Alcotest.(list (pair int int)) "same tags" !expect (List.sort compare !seen)
+
+(* [write_units] splits remapped blocks out of their unit exactly as the
+   original list-appending loop did: observed write requests (one per
+   translated unit) must match the oracle's translation. *)
+let test_write_units_translation () =
+  let dev = mem () in
+  let ig = Integrity.format ~spare_blocks:8 dev in
+  let fd = Faultdev.attach dev in
+  List.iter (fun blk -> Faultdev.mark_bad fd blk; Integrity.write ig blk (block 'r')) [ 12; 13; 17; 40 ];
+  Faultdev.detach fd;
+  check Alcotest.int "four remaps" 4 (Integrity.remap_count ig);
+  let units =
+    [ (10, List.init 10 (fun i -> block (Char.chr (65 + i))));
+      (38, [ block 'x'; block 'y'; block 'z' ]);
+      (60, [ block 'p' ]) ]
+  in
+  let oracle =
+    let translated = ref [] in
+    let emit run =
+      match run with
+      | [] -> ()
+      | (first, _) :: _ -> translated := (first, List.map snd run) :: !translated
+    in
+    List.iter
+      (fun (start, blocks) ->
+        let run = ref [] in
+        List.iteri
+          (fun i data ->
+            let lblk = start + i in
+            if Integrity.remapped ig lblk then begin
+              emit !run;
+              run := [];
+              translated := (Integrity.phys ig lblk, [ data ]) :: !translated
+            end
+            else run := !run @ [ (lblk, data) ])
+          blocks;
+        emit !run)
+      units;
+    List.rev !translated
+  in
+  let seen = ref [] in
+  Blockdev.set_write_observer dev
+    (Some (fun ~blk ~data ~torn:_ -> seen := (blk, Bytes.to_string data) :: !seen));
+  Integrity.write_units ig units;
+  Blockdev.set_write_observer dev None;
+  let flat l = List.sort compare (List.map (fun (blk, ds) -> (blk, Bytes.to_string (Bytes.concat Bytes.empty ds))) l) in
+  check Alcotest.int "one request per translated unit" 9 (List.length oracle);
+  check Alcotest.(list (pair int string)) "same requests" (flat oracle)
+    (List.sort compare !seen)
+
 (* ------------------------------------------------------------------ *)
 (* Faults on tagged in-flight requests: the pipeline isolates a failure to
    the tag that covers it; only a power cut takes the rest of the queue
@@ -579,5 +715,15 @@ let () =
             test_oob_range_payload;
           Alcotest.test_case "fault journal barrier" `Quick
             test_faultdev_barrier_bounds_journal;
+          Alcotest.test_case "iter_tags (memory)" `Quick (test_iter_tags mem);
+          Alcotest.test_case "iter_tags (2-spindle composite)" `Quick
+            (test_iter_tags striped2);
+          Alcotest.test_case "region matches oracle (memory)" `Quick
+            (test_region_matches_oracle (fun () ->
+                 Blockdev.memory ~block_size:4096 ~nblocks:4096));
+          Alcotest.test_case "region matches oracle (2-spindle composite)"
+            `Quick (test_region_matches_oracle striped2);
+          Alcotest.test_case "write_units translation" `Quick
+            test_write_units_translation;
         ] );
     ]

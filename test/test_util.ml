@@ -457,6 +457,60 @@ let qcheck_crc32_detects_flip =
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x55));
       Crc32.digest b <> before)
 
+(* The sliced kernel against the bytewise original (test/crc32_oracle.ml):
+   buffers of 0-9000 bytes, unaligned offsets, every tail length 0-7 past
+   the last 8-byte step, an arbitrary running CRC, and a split point at
+   which the same range is checksummed in two chained calls. *)
+let crc_case_gen =
+  QCheck.Gen.(
+    let* n = int_range 0 9000 in
+    let* s = string_size (return n) in
+    let* off = int_range 0 n in
+    let* tail = int_range 0 (min 7 (n - off)) in
+    let* steps = int_range 0 ((n - off - tail) / 8) in
+    let len = (8 * steps) + tail in
+    let* split = int_range 0 len in
+    let* hi = int_bound 0xffff and* lo = int_bound 0xffff in
+    return (Bytes.of_string s, off, len, split, (hi lsl 16) lor lo))
+
+let qcheck_crc32_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 1997 |])
+    (QCheck.Test.make ~count:5000
+       ~name:"crc32: sliced kernel equals the bytewise oracle, chained or not"
+       (QCheck.make
+          ~print:(fun (b, off, len, split, crc) ->
+            Printf.sprintf "size=%d off=%d len=%d split=%d crc=0x%08x"
+              (Bytes.length b) off len split crc)
+          crc_case_gen)
+       (fun (b, off, len, split, crc) ->
+         let whole = Crc32.update crc b off len in
+         whole = Crc32_oracle.update crc b off len
+         && Crc32.update (Crc32.update crc b off split) b (off + split) (len - split)
+            = whole))
+
+(* Argument handling is the oracle's: [len <= 0] returns the running CRC
+   untouched whatever [off] is, and a positive range reaching outside the
+   buffer raises [Invalid_argument]. *)
+let test_crc32_arguments () =
+  let b = Bytes.of_string "0123456789" in
+  let outcome f = match f () with v -> Some v | exception Invalid_argument _ -> None in
+  List.iter
+    (fun (off, len) ->
+      check
+        Alcotest.(option int)
+        (Printf.sprintf "off=%d len=%d" off len)
+        (outcome (fun () -> Crc32_oracle.update 0x1234abcd b off len))
+        (outcome (fun () -> Crc32.update 0x1234abcd b off len)))
+    [ (0, 0); (0, -1); (-5, 0); (11, -3); (20, 0); (0, 10); (3, 7); (9, 1);
+      (-1, 1); (-1, 11); (0, 11); (5, 6); (10, 1); (11, 1) ];
+  (* The oracle's loop bound [off + len - 1] wraps for a huge [len] and
+     silently checksums nothing; the up-front check rejects it. *)
+  check
+    Alcotest.(option int)
+    "len max_int" None
+    (outcome (fun () -> Crc32.update 0 b 3 max_int))
+
 (* ------------------------------------------------------------------ *)
 (* Tablefmt and Units *)
 
@@ -541,6 +595,8 @@ let () =
           Alcotest.test_case "known vectors" `Quick test_crc32_vectors;
           Alcotest.test_case "incremental" `Quick test_crc32_incremental;
           qcheck_crc32_detects_flip;
+          Alcotest.test_case "argument handling" `Quick test_crc32_arguments;
+          qcheck_crc32_matches_oracle;
         ] );
       ( "tablefmt",
         [
