@@ -167,9 +167,13 @@ let core_tests =
         (Staged.stage
            (let b = Bytes.init 4096 (fun i -> Char.chr ((i * 131) land 0xff)) in
             fun () -> ignore (Cffs_util.Crc32.digest b)));
-      (* One sync barrier's checksum-region rewrite on an ST31200-sized
-         memory device holding about as many tags (3 400) as one
-         smallfile-grouped-journal iteration leaves. *)
+      (* One sync barrier's checksum-region write-back on an
+         ST31200-sized memory device after tag writes to as many blocks
+         (3 400, spread over the data area) as one
+         smallfile-grouped-journal iteration tags.  The tags are written
+         again before every flush, so each flush finds their pages dirty;
+         [set_tag] marks a page just as a persisted write does, without
+         timing 3 400 block CRCs as well. *)
       Test.make ~name:"integrity_flush_tags"
         (Staged.stage
            (let module Integrity = Cffs_blockdev.Integrity in
@@ -180,12 +184,14 @@ let core_tests =
             let dev = Blockdev.memory ~block_size:4096 ~nblocks in
             let ig = Integrity.format dev in
             let prng = Cffs_util.Prng.create 11 in
-            for _ = 1 to 3400 do
-              Blockdev.set_tag dev
-                (Cffs_util.Prng.int prng (Integrity.data_blocks ig))
-                (Cffs_util.Prng.int prng 0x3fffffff)
-            done;
-            fun () -> Integrity.flush_tags ig));
+            let spread =
+              Array.init 3400 (fun _ ->
+                  ( Cffs_util.Prng.int prng (Integrity.data_blocks ig),
+                    Cffs_util.Prng.int prng 0x3fffffff ))
+            in
+            fun () ->
+              Array.iter (fun (blk, v) -> Blockdev.set_tag dev blk v) spread;
+              Integrity.flush_tags ig));
     ]
 
 let run_bechamel () =

@@ -37,6 +37,8 @@ and multi = {
 
 and extent = { lstart : int; xlen : int; xsub : int; pstart : int }
 
+and tag_chunks = int array array
+
 and frag = { fr_parent : int; fr_off : int (* blocks into the parent *); fr_len : int; fr_lblk : int }
 
 and parent = {
@@ -77,14 +79,24 @@ and t = {
      updated atomically and a torn request leaves the old tag in place —
      which is exactly what makes the tear detectable.  Maintained only
      when [tags_enabled]; the Integrity layer owns the at-rest encoding
-     (the on-disk checksum region) and all verification. *)
-  tags : (int, int) Hashtbl.t;
+     (the on-disk checksum region) and all verification.  Kept in
+     lazily allocated chunks (see "the tag store" below). *)
+  mutable tags : tag_chunks;
   mutable tags_enabled : bool;
+  (* One byte per tag page — the tags of [block_size / 4] consecutive
+     logical blocks, one block of the at-rest encoding — set whenever a
+     tag in the page is written, even with an unchanged value, and
+     cleared by the Integrity layer when it writes the page back. *)
+  tag_dirty : bytes;
+  (* A composite's spindle: the composite and this spindle's extents
+     (sorted by [pstart]), through which its physical tag writes mark the
+     composite's logical tag pages. *)
+  mutable tag_owner : (t * extent array) option;
 }
 
 type flat_image = {
   img_blocks : (int, bytes) Hashtbl.t;
-  img_tags : (int, int) Hashtbl.t;
+  img_tags : tag_chunks;
   img_tags_enabled : bool;
 }
 
@@ -135,6 +147,46 @@ let runs_of m i pblk n =
     a;
   List.rev !out
 
+(* --- the tag store ------------------------------------------------------- *)
+
+(* Tags are kept in chunks of [tag_chunk] blocks, [no_tag] where none is
+   recorded; a chunk is allocated by the first tag written into it, so
+   memory and scan cost follow the blocks ever tagged, not the device
+   size.  Lookups never allocate. *)
+let tag_chunk_bits = 10
+let tag_chunk = 1 lsl tag_chunk_bits
+let no_tag = -1
+let tag_chunks_for nblocks = Array.make ((nblocks + tag_chunk - 1) / tag_chunk) [||]
+
+let tag_get (c : tag_chunks) blk =
+  let ch = c.(blk lsr tag_chunk_bits) in
+  if Array.length ch = 0 then no_tag else ch.(blk land (tag_chunk - 1))
+
+let tag_put (c : tag_chunks) blk v =
+  let i = blk lsr tag_chunk_bits in
+  if Array.length c.(i) = 0 then c.(i) <- Array.make tag_chunk no_tag;
+  c.(i).(blk land (tag_chunk - 1)) <- v
+
+(* [f blk v] for every tagged block of [blk, blk+n), ascending, skipping
+   unallocated chunks whole. *)
+let tag_scan (c : tag_chunks) blk n f =
+  let stop = blk + n in
+  let b = ref blk in
+  while !b < stop do
+    let ch = c.(!b lsr tag_chunk_bits) in
+    let next = min stop ((!b lor (tag_chunk - 1)) + 1) in
+    if Array.length ch > 0 then
+      for x = !b to next - 1 do
+        let v = ch.(x land (tag_chunk - 1)) in
+        if v <> no_tag then f x v
+      done;
+    b := next
+  done
+
+let copy_tag_chunks (c : tag_chunks) = Array.map Array.copy c
+
+let tag_pages_of ~block_size ~nblocks = ((nblocks * 4) + block_size - 1) / block_size
+
 let of_drive ?(policy = Scheduler.Clook) ?(host_overhead = 0.5e-3) drive ~block_size =
   if block_size <= 0 || block_size mod Cffs_util.Units.sector_size <> 0 then
     invalid_arg "Blockdev.of_drive: block size";
@@ -148,8 +200,10 @@ let of_drive ?(policy = Scheduler.Clook) ?(host_overhead = 0.5e-3) drive ~block_
     completed = [];
     injector = None;
     write_observer = None;
-    tags = Hashtbl.create 64;
+    tags = tag_chunks_for nblocks;
     tags_enabled = false;
+    tag_dirty = Bytes.make (tag_pages_of ~block_size ~nblocks) '\000';
+    tag_owner = None;
   }
 
 let memory ~block_size ~nblocks =
@@ -163,8 +217,10 @@ let memory ~block_size ~nblocks =
     completed = [];
     injector = None;
     write_observer = None;
-    tags = Hashtbl.create 64;
+    tags = tag_chunks_for nblocks;
     tags_enabled = false;
+    tag_dirty = Bytes.make (tag_pages_of ~block_size ~nblocks) '\000';
+    tag_owner = None;
   }
 
 let block_size t = t.block_size
@@ -190,30 +246,71 @@ let rec tag t blk =
   | Multi m ->
       let e, off = locate m blk in
       tag m.subs.(e.xsub) (e.pstart + off)
-  | _ -> Hashtbl.find_opt t.tags blk
+  | _ ->
+      let v = tag_get t.tags blk in
+      if v = no_tag then None else Some v
 
-let rec set_tag t blk v =
+(* --- tag pages ------------------------------------------------------------ *)
+
+let tag_pages t = Bytes.length t.tag_dirty
+let tag_page_dirty t p = Bytes.get t.tag_dirty p <> '\000'
+let set_tag_page_dirty t p d = Bytes.set t.tag_dirty p (if d then '\001' else '\000')
+let set_all_tag_pages_dirty t d =
+  Bytes.fill t.tag_dirty 0 (tag_pages t) (if d then '\001' else '\000')
+
+(* Mark the pages holding the tags of logical blocks [lblk, lblk+n). *)
+let mark_pages t lblk n =
+  let per = t.block_size / 4 in
+  for p = lblk / per to (lblk + n - 1) / per do
+    Bytes.set t.tag_dirty p '\001'
+  done
+
+(* Tags of blocks [start, start+n) of [t]'s own address space were just
+   written.  A spindle maps the range back through its extents (as
+   {!runs_of} does) and marks its composite's pages; physical blocks
+   outside every extent have no logical address and mark nothing.  No
+   allocation: one search for the first extent, then a forward walk. *)
+let tags_written t start n =
+  match t.tag_owner with
+  | None -> mark_pages t start n
+  | Some (comp, exts) ->
+      let stop = start + n in
+      let lo = ref 0 and hi = ref (Array.length exts) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        let e = exts.(mid) in
+        if e.pstart + e.xlen <= start then lo := mid + 1 else hi := mid
+      done;
+      let i = ref !lo in
+      while !i < Array.length exts && exts.(!i).pstart < stop do
+        let e = exts.(!i) in
+        let s = if start > e.pstart then start else e.pstart in
+        let s' = if stop < e.pstart + e.xlen then stop else e.pstart + e.xlen in
+        mark_pages comp (e.lstart + s - e.pstart) (s' - s);
+        incr i
+      done
+
+let set_tag t blk v =
+  let rec go t blk =
+    match t.backend with
+    | Multi m ->
+        let e, off = locate m blk in
+        go m.subs.(e.xsub) (e.pstart + off)
+    | _ -> tag_put t.tags blk v
+  in
+  go t blk;
+  mark_pages t blk 1
+
+let iter_tags t ~blk ~n f =
+  let scan dev pblk len lblk =
+    tag_scan dev.tags pblk len (fun p v -> f (lblk + p - pblk) v)
+  in
   match t.backend with
   | Multi m ->
-      let e, off = locate m blk in
-      set_tag m.subs.(e.xsub) (e.pstart + off) v
-  | _ -> Hashtbl.replace t.tags blk v
-
-let rec tag_count t =
-  match t.backend with
-  | Multi m -> Array.fold_left (fun acc s -> acc + tag_count s) 0 m.subs
-  | _ -> Hashtbl.length t.tags
-
-let iter_tags t f =
-  match t.backend with
-  | Multi m ->
-      Array.iteri
-        (fun i s ->
-          Hashtbl.iter
-            (fun pblk v -> List.iter (fun (_, lblk, _) -> f lblk v) (runs_of m i pblk 1))
-            s.tags)
-        m.subs
-  | _ -> Hashtbl.iter f t.tags
+      List.iter
+        (fun (si, pblk, off, len) -> scan m.subs.(si) pblk len (blk + off))
+        (frags_of m blk n)
+  | _ -> scan t blk n blk
 
 let check_range t op blk n =
   if blk < 0 || n <= 0 || blk + n > t.nblocks then
@@ -270,9 +367,10 @@ let persist_request t start data ~keep_sectors =
   for i = 0 to full - 1 do
     store_block t (start + i) data (i * t.block_size);
     if t.tags_enabled then
-      Hashtbl.replace t.tags (start + i)
+      tag_put t.tags (start + i)
         (Cffs_util.Crc32.digest_sub data (i * t.block_size) t.block_size)
   done;
+  if t.tags_enabled && full > 0 then tags_written t start full;
   let rem = keep mod spb in
   if rem > 0 then begin
     let old = Bytes.create t.block_size in
@@ -937,14 +1035,17 @@ let multi ~subs ~extents =
       completed = [];
       injector = None;
       write_observer = None;
-      tags = Hashtbl.create 1;
+      tags = [||];  (* a composite's tags live on its spindles *)
       tags_enabled = false;
+      tag_dirty = Bytes.make (tag_pages_of ~block_size ~nblocks) '\000';
+      tag_owner = None;
     }
   in
   Array.iteri
     (fun i s ->
       set_injector s (Some (sub_injector t m i));
-      set_write_observer s (Some (sub_observer t m i)))
+      set_write_observer s (Some (sub_observer t m i));
+      s.tag_owner <- Some (t, sub_extents.(i)))
     subs;
   t
 
@@ -1108,7 +1209,7 @@ let rec snapshot t =
       Iflat
         {
           img_blocks = blocks;
-          img_tags = Hashtbl.copy t.tags;
+          img_tags = copy_tag_chunks t.tags;
           img_tags_enabled = t.tags_enabled;
         }
 
@@ -1120,7 +1221,8 @@ let rec flat_of_image img =
   | Iflat f -> f
   | Imulti { parts; iextents } ->
       let blocks = Hashtbl.create 4096 in
-      let tags = Hashtbl.create 64 in
+      let nblocks = Array.fold_left (fun acc e -> max acc (e.lstart + e.xlen)) 0 iextents in
+      let tags = tag_chunks_for nblocks in
       let enabled = ref false in
       Array.iteri
         (fun i part ->
@@ -1128,23 +1230,23 @@ let rec flat_of_image img =
           if pf.img_tags_enabled then enabled := true;
           Array.iter
             (fun e ->
-              if e.xsub = i then
+              if e.xsub = i then begin
                 for off = 0 to e.xlen - 1 do
-                  (match Hashtbl.find_opt pf.img_blocks (e.pstart + off) with
+                  match Hashtbl.find_opt pf.img_blocks (e.pstart + off) with
                   | Some b -> Hashtbl.replace blocks (e.lstart + off) (Bytes.copy b)
-                  | None -> ());
-                  match Hashtbl.find_opt pf.img_tags (e.pstart + off) with
-                  | Some v -> Hashtbl.replace tags (e.lstart + off) v
                   | None -> ()
-                done)
+                done;
+                tag_scan pf.img_tags e.pstart e.xlen (fun p v ->
+                    tag_put tags (e.lstart + p - e.pstart) v)
+              end)
             iextents)
         parts;
       { img_blocks = blocks; img_tags = tags; img_tags_enabled = !enabled }
 
-let rec restore t img =
+let rec restore_media t img =
   match (t.backend, img) with
   | Multi m, Imulti { parts; _ } when Array.length parts = Array.length m.subs ->
-      Array.iteri (fun i p -> restore m.subs.(i) p) parts;
+      Array.iteri (fun i p -> restore_media m.subs.(i) p) parts;
       t.tags_enabled <-
         t.tags_enabled || Array.exists (fun s -> s.tags_enabled) m.subs
   | Multi m, _ ->
@@ -1154,26 +1256,33 @@ let rec restore t img =
       Array.iter
         (fun s ->
           Hashtbl.reset s.store;
-          Hashtbl.reset s.tags)
+          s.tags <- tag_chunks_for s.nblocks)
         m.subs;
       Hashtbl.iter
         (fun blk b ->
           let e, off = locate m blk in
           store_block m.subs.(e.xsub) (e.pstart + off) (Bytes.copy b) 0)
         f.img_blocks;
-      Hashtbl.iter
+      tag_scan f.img_tags 0
+        (min t.nblocks (Array.length f.img_tags * tag_chunk))
         (fun blk v ->
           let e, off = locate m blk in
-          Hashtbl.replace m.subs.(e.xsub).tags (e.pstart + off) v)
-        f.img_tags;
+          tag_put m.subs.(e.xsub).tags (e.pstart + off) v);
       if f.img_tags_enabled then enable_tags t
   | _, _ ->
       let f = flat_of_image img in
       Hashtbl.reset t.store;
       Hashtbl.iter (fun k v -> Hashtbl.replace t.store k (Bytes.copy v)) f.img_blocks;
-      Hashtbl.reset t.tags;
-      Hashtbl.iter (fun k v -> Hashtbl.replace t.tags k v) f.img_tags;
+      t.tags <-
+        Array.init (Array.length t.tags) (fun i ->
+            if i < Array.length f.img_tags then Array.copy f.img_tags.(i) else [||]);
       t.tags_enabled <- t.tags_enabled || f.img_tags_enabled
+
+(* The image does not say which of its tag pages were written back, so
+   every page counts as dirty: the next write-back rewrites them all. *)
+let restore t img =
+  restore_media t img;
+  set_all_tag_pages_dirty t true
 
 let rec blocks_written img =
   match img with

@@ -102,16 +102,28 @@ val tag : t -> int -> int option
 
 val set_tag : t -> int -> int -> unit
 (** Install a tag directly — used by {!Integrity} to reload the at-rest
-    checksum region into the live table after {!load_file}. *)
+    checksum region into the live table after {!load_file}.  Marks the
+    block's tag page dirty, like any other tag write. *)
 
-val tag_count : t -> int
+val iter_tags : t -> blk:int -> n:int -> (int -> int -> unit) -> unit
+(** [iter_tags t ~blk ~n f] calls [f lblk tag] for every block of the
+    logical range [\[blk, blk+n)] that holds a tag, in ascending order.
+    On a composite it reads each spindle's table through the extent map. *)
 
-val iter_tags : t -> (int -> int -> unit) -> unit
-(** [iter_tags t f] calls [f blk tag] once for every block holding a tag,
-    keyed by logical block, in no particular order.  On a composite it
-    visits each subdevice's table and maps physical blocks back to
-    logical ones, so the cost is proportional to the number of tags, not
-    to the size of the device. *)
+(** {3 Tag pages}
+
+    Tag page [p] holds the tags of logical blocks
+    [\[p * block_size / 4, (p + 1) * block_size / 4)] — one block of a
+    4-byte-per-tag at-rest encoding.  A page turns dirty whenever one of
+    its tags is written: by a persisted write (full or torn prefix, on a
+    flat device or any spindle of a composite), by {!set_tag}, or for
+    every page by {!restore}.  The bit is set per write, not per changed
+    value.  Only the encoder clears it. *)
+
+val tag_pages : t -> int
+val tag_page_dirty : t -> int -> bool
+val set_tag_page_dirty : t -> int -> bool -> unit
+val set_all_tag_pages_dirty : t -> bool -> unit
 
 val read : t -> int -> int -> bytes
 (** [read t blk n] reads [n] consecutive blocks as one request.  Unwritten
@@ -231,6 +243,10 @@ type image
 
 val snapshot : t -> image
 val restore : t -> image -> unit
+(** Replace the device's contents and tags with the image's.  The image
+    does not record which tag pages were written back, so every tag page
+    counts as dirty afterwards. *)
+
 val blocks_written : image -> int
 (** Number of distinct blocks present in the image. *)
 

@@ -7,6 +7,7 @@ let m_remaps = Cffs_obs.Registry.counter "integrity.remaps"
 let m_degraded = Cffs_obs.Registry.counter "integrity.degraded_reads"
 let m_tag_flushes = Cffs_obs.Registry.counter "integrity.tag_flushes"
 let m_region_writes = Cffs_obs.Registry.counter "integrity.region_writes"
+let m_region_requests = Cffs_obs.Registry.counter "integrity.region_requests"
 
 let note_degraded () = Cffs_obs.Registry.incr m_degraded
 
@@ -48,8 +49,8 @@ let phys t blk = match Hashtbl.find_opt t.remap blk with Some p -> p | None -> b
 
 let layout dev ~spare_blocks =
   let nblocks = Blockdev.nblocks dev in
-  let bs = Blockdev.block_size dev in
-  let csum_blocks = ((nblocks * 4) + bs - 1) / bs in
+  (* region block [cb] encodes the device's tag page [cb] *)
+  let csum_blocks = Blockdev.tag_pages dev in
   let reserved = csum_blocks + spare_blocks + 2 in
   let data_blocks = nblocks - reserved in
   if data_blocks <= 0 then invalid_arg "Integrity: device too small";
@@ -160,45 +161,76 @@ let raw_read dev blk =
 
 (* --- Checksum region: the at-rest tag encoding --- *)
 
-(* Rewrite the region from the live tags.  The cost follows the tags, not
-   the device: the tagged blocks are bucketed by the region block that
-   encodes them, and each region block is encoded from its bucket alone.
+(* Write back the region blocks whose tag pages are dirty (see
+   {!Blockdev.tag_page_dirty}; region block [cb] encodes tag page [cb]).
+   The cost follows the barrier's writes, not the device: a page no tag
+   write touched since its last write-back still holds exactly the bytes
+   a rewrite would produce, so skipping it leaves the media — and the
+   region blocks' own tags — as a full rewrite would.
 
-   Self-tag rule: region block [cb] is encoded just before it is written,
-   from tags read at that moment, and its range may cover the region
-   itself.  Writing a region block changes that block's own tag, so a
-   region block written later in the same call carries the {e new} tags
-   of those written before it — including, at format, blocks that had no
-   tag when the call began.  The region's own blocks therefore join every
-   bucket they fall in, and every tag is read live at encode time. *)
+   Adjacent dirty pages go out as one multi-block write, except the
+   {e self-covering} pages, whose range covers the region itself.
+   Self-tag rule: writing a region block changes that block's own tag, so
+   a self-covering page must carry the new tags of every region block
+   written before it in the same call.  Pending runs are therefore issued
+   before any self-covering page, and each self-covering page is encoded
+   live and written alone, in ascending order.  Writing it dirties its
+   own page again, so every barrier after the first writes at least one
+   self-covering block.
+
+   A page's bit is cleared before its encoding is read; a failed write
+   marks its pages dirty again, so the next barrier retries them, and the
+   error propagates. *)
 let flush_tags t =
   Cffs_obs.Registry.incr m_tag_flushes;
   let dev = t.dev in
   let bs = Blockdev.block_size dev in
   let per = bs / 4 in
-  let buckets = Array.make t.csum_blocks [] in
-  Blockdev.iter_tags dev (fun blk _ ->
-      let cb = blk / per in
-      buckets.(cb) <- blk :: buckets.(cb));
-  let encode b lo blk =
-    match Blockdev.tag dev blk with
-    | None -> ()
-    | Some v ->
-        (* 0 encodes "no tag"; a genuine CRC of 0 (probability 2^-32) is
-           nudged to 1, accepting a vanishingly unlikely false alarm. *)
-        let v = if v <= 0 then 1 else v land 0xffffffff in
-        Codec.set_u32 b ((blk - lo) * 4) v
+  let nblocks = Blockdev.nblocks dev in
+  let self_lo = t.csum_start / per
+  and self_hi = (t.csum_start + t.csum_blocks - 1) / per in
+  (* Clear, encode and write region blocks [cb, cb+n). *)
+  let write_back cb n =
+    let b = Bytes.make (n * bs) '\000' in
+    for i = 0 to n - 1 do
+      Blockdev.set_tag_page_dirty dev (cb + i) false;
+      let lo = (cb + i) * per and off = i * bs in
+      Blockdev.iter_tags dev ~blk:lo ~n:(min per (nblocks - lo)) (fun blk v ->
+          (* 0 encodes "no tag"; a genuine CRC of 0 (probability 2^-32) is
+             nudged to 1, accepting a vanishingly unlikely false alarm. *)
+          let v = if v <= 0 then 1 else v land 0xffffffff in
+          Codec.set_u32 b (off + ((blk - lo) * 4)) v)
+    done;
+    match Blockdev.write dev (t.csum_start + cb) b with
+    | () ->
+        Cffs_obs.Registry.incr m_region_requests;
+        Cffs_obs.Registry.incr ~by:n m_region_writes
+    | exception e ->
+        for i = 0 to n - 1 do
+          Blockdev.set_tag_page_dirty dev (cb + i) true
+        done;
+        raise e
+  in
+  (* first page of the pending run, or -1 *)
+  let run = ref (-1) in
+  let issue_run upto =
+    if !run >= 0 then begin
+      let cb = !run in
+      run := -1;
+      write_back cb (upto - cb)
+    end
   in
   for cb = 0 to t.csum_blocks - 1 do
-    let b = Bytes.make bs '\000' in
-    let lo = cb * per in
-    List.iter (encode b lo) buckets.(cb);
-    for blk = max lo t.csum_start to min (lo + per) (t.csum_start + t.csum_blocks) - 1 do
-      encode b lo blk
-    done;
-    Blockdev.write dev (t.csum_start + cb) b;
-    Cffs_obs.Registry.incr m_region_writes
-  done
+    let self = cb >= self_lo && cb <= self_hi in
+    (* a pending run may dirty a self-covering page: issue it first *)
+    if self then issue_run cb;
+    if not (Blockdev.tag_page_dirty dev cb) then issue_run cb
+    else if self then write_back cb 1
+    else if !run < 0 then run := cb
+  done;
+  issue_run t.csum_blocks
+
+let mark_region_dirty t = Blockdev.set_all_tag_pages_dirty t.dev true
 
 let load_tags t =
   let bs = Blockdev.block_size t.dev in
@@ -450,6 +482,7 @@ let format ?(spare_blocks = 64) dev =
   let t = mk dev ~spare_blocks in
   Blockdev.enable_tags dev;
   persist_map t;
+  mark_region_dirty t;
   flush_tags t;
   t
 
@@ -486,7 +519,9 @@ let attach dev =
                crash image) takes them from the at-rest region. *)
             if not (Blockdev.tags_enabled dev) then begin
               Blockdev.enable_tags dev;
-              load_tags t
+              load_tags t;
+              (* the region now matches the tags it was loaded from *)
+              Blockdev.set_all_tag_pages_dirty dev false
             end;
             Some t)
   end

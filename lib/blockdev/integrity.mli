@@ -59,11 +59,19 @@ val write_units : t -> (int * bytes list) list -> unit
     retries through {!write}, which remaps). *)
 
 val flush_tags : t -> unit
-(** Rewrite the checksum region from the live tag table, one single-block
-    write per region block, in region order.  Call at sync barriers so a
-    cold {!attach} sees tags as of the last sync.  Host cost is
-    proportional to the tagged blocks plus the region blocks, not to the
-    device size. *)
+(** Write back the checksum-region blocks whose tag pages are dirty
+    ({!Blockdev.tag_page_dirty}), in region order: adjacent dirty blocks
+    as one multi-block write, each block whose range covers the region
+    itself alone, encoded live after everything before it.  Call at sync
+    barriers so a cold {!attach} sees tags as of the last sync.  Every
+    region block ends byte-identical to a full rewrite; host cost and
+    requests follow the dirty pages, not the device size.  A failed write
+    leaves its blocks dirty for the next call and propagates. *)
+
+val mark_region_dirty : t -> unit
+(** Mark every checksum-region block dirty, so the next {!flush_tags}
+    rewrites the whole region (format does this; scrub does it to heal a
+    damaged region block). *)
 
 (** {1 Remap introspection} *)
 

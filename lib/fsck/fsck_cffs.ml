@@ -167,24 +167,29 @@ let nlink_problems survey =
       end)
     survey.inodes []
 
+(* The survey only records blocks of a group's data area (every relative
+   block but the header at 0), so a group's expected free count is its
+   data-area size minus the surveyed blocks that fall in it: one pass over
+   the used set, not a probe per block of the volume. *)
 let bitmap_problems t survey =
   let sb = Cffs.superblock t in
   let cache = Cffs.cache t in
+  let used = Array.make sb.Csb.cg_count 0 in
+  Hashtbl.iter
+    (fun blk _ ->
+      let cg = Csb.cg_of_block sb blk in
+      used.(cg) <- used.(cg) + 1)
+    survey.used;
   let problems = ref [] in
   for cg = 0 to sb.Csb.cg_count - 1 do
     let hdr = Cache.read cache (Csb.cg_start sb cg) in
     let found_free =
       Bitmap.count_clear hdr Csb.hdr_block_bitmap_off ~off:0 ~len:sb.Csb.cg_size
     in
-    let expected_free = ref 0 in
-    for rel = 0 to sb.Csb.cg_size - 1 do
-      let blk = Csb.cg_start sb cg + rel in
-      if rel > 0 && not (Hashtbl.mem survey.used blk) then incr expected_free
-    done;
-    if found_free <> !expected_free then
+    let expected_free = sb.Csb.cg_size - 1 - used.(cg) in
+    if found_free <> expected_free then
       problems :=
-        Report.Block_bitmap_mismatch
-          { cg; expected_free = !expected_free; found_free }
+        Report.Block_bitmap_mismatch { cg; expected_free; found_free }
         :: !problems
   done;
   !problems

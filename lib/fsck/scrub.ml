@@ -138,7 +138,10 @@ let run ?(start = 0) ?limit t =
       done;
       let map_repaired = Integrity.repair_map_copies ig in
       (* rewrites above refreshed in-memory tags; re-encode the at-rest
-         region so a crash right now still attaches cleanly *)
+         region so a crash right now still attaches cleanly.  Every region
+         block goes out, dirty or not: a sync writes back only the pages
+         its writes touched, so this is what heals a damaged region block. *)
+      Integrity.mark_region_dirty ig;
       Integrity.flush_tags ig;
       Some
         {

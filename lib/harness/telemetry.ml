@@ -138,6 +138,7 @@ let integrity_json () =
          "integrity.degraded_reads";
          "integrity.tag_flushes";
          "integrity.region_writes";
+         "integrity.region_requests";
          "scrub.blocks_verified";
        ])
 

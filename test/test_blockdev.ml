@@ -501,8 +501,10 @@ let test_region_matches_oracle mk () =
   flush_both "writes + flush";
   flush_both "second flush"
 
-(* [iter_tags] visits exactly the blocks [tag] reports, by logical block,
-   on a flat device and through a composite's extent map. *)
+(* [iter_tags] visits exactly the blocks [tag] reports, by logical block
+   and in ascending order, on a flat device and through a composite's
+   extent map: over the whole device and over a range that crosses
+   stripe units. *)
 let test_iter_tags mk () =
   let dev = mk () in
   Blockdev.enable_tags dev;
@@ -510,13 +512,117 @@ let test_iter_tags mk () =
   for _ = 1 to 200 do
     Blockdev.write dev (Prng.int prng (Blockdev.nblocks dev)) (block 'i')
   done;
-  let seen = ref [] in
-  Blockdev.iter_tags dev (fun blk v -> seen := (blk, v) :: !seen);
-  let expect = ref [] in
-  for blk = Blockdev.nblocks dev - 1 downto 0 do
-    match Blockdev.tag dev blk with Some v -> expect := (blk, v) :: !expect | None -> ()
+  let range blk n =
+    let seen = ref [] in
+    Blockdev.iter_tags dev ~blk ~n (fun blk v -> seen := (blk, v) :: !seen);
+    let expect = ref [] in
+    for b = blk + n - 1 downto blk do
+      match Blockdev.tag dev b with Some v -> expect := (b, v) :: !expect | None -> ()
+    done;
+    check Alcotest.(list (pair int int))
+      (Printf.sprintf "same tags in [%d, +%d)" blk n)
+      !expect (List.rev !seen)
+  in
+  let nb = Blockdev.nblocks dev in
+  range 0 nb;
+  range (nb / 8) (nb / 2)
+
+(* A barrier writes back only the region blocks whose tag pages its writes
+   touched, adjacent ones as one request; the self-covering block (the
+   region block whose range covers the region itself)
+   goes out alone and re-dirties itself, so even an empty barrier costs
+   one region write.  [integrity.region_writes] counts blocks,
+   [integrity.region_requests] requests. *)
+module Registry = Cffs_obs.Registry
+
+let test_region_request_counts mk () =
+  let dev = mk () in
+  let ig = Integrity.format ~spare_blocks:16 dev in
+  let per = Blockdev.block_size dev / 4 in
+  let pages = Blockdev.tag_pages dev in
+  check Alcotest.bool "four region blocks or more" true (pages >= 4);
+  let csum_start = Integrity.data_blocks ig in
+  check Alcotest.int "one region block covers the region" (csum_start / per)
+    ((csum_start + pages - 1) / per);
+  check Alcotest.bool "and it follows pages 0 to 2" true (csum_start / per >= 3);
+  let barrier writes =
+    List.iter (fun blk -> Integrity.write ig blk (block 'w')) writes;
+    let s0 = Registry.snapshot () and w0 = (Blockdev.stats dev).Request.Stats.writes in
+    Integrity.flush_tags ig;
+    let d = Registry.diff (Registry.snapshot ()) s0 in
+    ( Registry.get_counter d "integrity.region_requests",
+      Registry.get_counter d "integrity.region_writes",
+      (Blockdev.stats dev).Request.Stats.writes - w0 )
+  in
+  let counts = Alcotest.(triple int int int) in
+  check counts "empty barrier: the self-covering block" (1, 1, 1) (barrier []);
+  check counts "and again" (1, 1, 1) (barrier []);
+  check counts "one page: one run plus the self-covering block" (2, 2, 2)
+    (barrier [ 5; 100; per - 1 ]);
+  check counts "two adjacent pages: one two-block run" (2, 3, 2)
+    (barrier [ 3; per; (2 * per) - 1 ]);
+  check counts "two pages apart: two runs" (3, 3, 3) (barrier [ 3; (2 * per) + 1 ]);
+  check counts "then empty again" (1, 1, 1) (barrier [])
+
+(* A failed region write leaves its blocks dirty and propagates; the next
+   barrier writes them back. *)
+let test_region_retry_after_failure () =
+  let dev = Blockdev.memory ~block_size:4096 ~nblocks:4096 in
+  let ig = Integrity.format ~spare_blocks:16 dev in
+  let csum_start = Integrity.data_blocks ig in
+  Integrity.flush_tags ig;
+  Integrity.write ig 7 (block 'f');
+  let fd = Faultdev.attach dev in
+  Faultdev.mark_bad fd csum_start;
+  check Alcotest.bool "the write-back fails" true
+    (cause_of (fun () -> Integrity.flush_tags ig) = Some Io_error.Bad_sector);
+  check Alcotest.bool "its page stays dirty" true (Blockdev.tag_page_dirty dev 0);
+  Faultdev.clear_bad fd csum_start;
+  Faultdev.detach fd;
+  Integrity.flush_tags ig;
+  check Alcotest.bool "written back" false (Blockdev.tag_page_dirty dev 0);
+  let b = Blockdev.read dev csum_start 1 in
+  check Alcotest.int "block 7's tag at rest"
+    (Option.get (Blockdev.tag dev 7))
+    (Cffs_util.Codec.get_u32 b (7 * 4))
+
+(* Scrub rewrites the whole region: a damaged region block that no sync
+   would touch (its pages are clean) is healed, and a cold attach of the
+   scrubbed image loads every data block's tag intact. *)
+let cold_copy dev =
+  let path = Filename.temp_file "cffs_region" ".img" in
+  Blockdev.save_file dev path;
+  let cold = Blockdev.load_file path in
+  Sys.remove path;
+  cold
+
+let test_scrub_heals_region_block () =
+  let dev = Blockdev.memory ~block_size:4096 ~nblocks:4096 in
+  let fs = Cffs.format ~integrity:true dev in
+  let ig = Option.get (Cffs.integrity fs) in
+  for i = 0 to 19 do
+    match Cffs.write_file fs (Printf.sprintf "/f%02d" i) (block (Char.chr (97 + i))) with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "write: %s" (Cffs_vfs.Errno.to_string e)
   done;
-  check Alcotest.(list (pair int int)) "same tags" !expect (List.sort compare !seen)
+  Cffs.sync fs;
+  let csum_start = Integrity.data_blocks ig in
+  Blockdev.corrupt_block dev csum_start (Prng.create 21);
+  (match Cffs_fsck.Scrub.run_to_completion fs with
+  | None -> Alcotest.fail "scrub unavailable"
+  | Some s -> check Alcotest.int "nothing lost" 0 s.Cffs_fsck.Scrub.lost);
+  let cold = cold_copy dev in
+  match Integrity.attach cold with
+  | None -> Alcotest.fail "scrubbed image does not attach"
+  | Some _ ->
+      let tagged = ref 0 in
+      for blk = 0 to csum_start - 1 do
+        let live = Blockdev.tag dev blk in
+        if live <> None then incr tagged;
+        if Blockdev.tag cold blk <> live then
+          Alcotest.failf "block %d: tag not intact after scrub" blk
+      done;
+      check Alcotest.bool "file blocks were tagged" true (!tagged >= 20)
 
 (* [write_units] splits remapped blocks out of their unit exactly as the
    original list-appending loop did: observed write requests (one per
@@ -723,6 +829,15 @@ let () =
                  Blockdev.memory ~block_size:4096 ~nblocks:4096));
           Alcotest.test_case "region matches oracle (2-spindle composite)"
             `Quick (test_region_matches_oracle striped2);
+          Alcotest.test_case "region requests (memory)" `Quick
+            (test_region_request_counts (fun () ->
+                 Blockdev.memory ~block_size:4096 ~nblocks:4096));
+          Alcotest.test_case "region requests (2-spindle composite)" `Quick
+            (test_region_request_counts striped2);
+          Alcotest.test_case "failed region write retried" `Quick
+            test_region_retry_after_failure;
+          Alcotest.test_case "scrub heals a region block" `Quick
+            test_scrub_heals_region_block;
           Alcotest.test_case "write_units translation" `Quick
             test_write_units_translation;
         ] );

@@ -205,6 +205,77 @@ let test_cffs_repairs_bitmap () =
   let r2 = Fsck_cffs.repair fs in
   check Alcotest.bool "clean after repair" true (Report.clean r2)
 
+(* The bitmap check counts the survey's used blocks per group; the loop
+   it replaced probed the survey once per block of every group.  On an
+   image with one leaked bit (a free block marked used) and one
+   double-freed bit (a block in use marked free), in different groups,
+   both must report the same mismatches in the same order.  On the clean
+   image every marked block is in use, so the clean bitmaps stand in for
+   the survey's used set. *)
+module Bitmap = Cffs_util.Bitmap
+module Csb = Cffs.Csb
+
+let test_cffs_bitmap_count_matches_loop () =
+  let fs, _ = populate_cffs Cffs.config_default in
+  let sb = Cffs.superblock fs and cache = Cffs.cache fs in
+  check Alcotest.bool "clean before damage" true (Report.clean (Fsck_cffs.check fs));
+  check Alcotest.bool "at least two groups" true (sb.Csb.cg_count >= 2);
+  let bbm = Csb.hdr_block_bitmap_off in
+  let used = Hashtbl.create 64 in
+  for cg = 0 to sb.Csb.cg_count - 1 do
+    let hdr = Cache.read cache (Csb.cg_start sb cg) in
+    for rel = 1 to sb.Csb.cg_size - 1 do
+      if Bitmap.get hdr bbm rel then Hashtbl.replace used (Csb.cg_start sb cg + rel) ()
+    done
+  done;
+  let freed =
+    match Cffs.file_runs fs "/a/b/f" with
+    | Ok ((b, _) :: _) -> b
+    | _ -> Alcotest.fail "no data block"
+  in
+  let freed_cg = Csb.cg_of_block sb freed in
+  let leak_cg = if freed_cg = 0 then 1 else 0 in
+  let leaked =
+    let rec go rel =
+      let blk = Csb.cg_start sb leak_cg + rel in
+      if Hashtbl.mem used blk then go (rel + 1) else blk
+    in
+    go 1
+  in
+  let flip blk f =
+    let cg = Csb.cg_of_block sb blk in
+    let hdr = Cache.read cache (Csb.cg_start sb cg) in
+    f hdr bbm (blk - Csb.cg_start sb cg);
+    Cache.write cache ~kind:`Meta (Csb.cg_start sb cg) hdr
+  in
+  flip leaked Bitmap.set;
+  flip freed Bitmap.clear;
+  let oracle =
+    let problems = ref [] in
+    for cg = 0 to sb.Csb.cg_count - 1 do
+      let hdr = Cache.read cache (Csb.cg_start sb cg) in
+      let found_free = Bitmap.count_clear hdr bbm ~off:0 ~len:sb.Csb.cg_size in
+      let expected_free = ref 0 in
+      for rel = 0 to sb.Csb.cg_size - 1 do
+        let blk = Csb.cg_start sb cg + rel in
+        if rel > 0 && not (Hashtbl.mem used blk) then incr expected_free
+      done;
+      if found_free <> !expected_free then
+        problems :=
+          Report.Block_bitmap_mismatch
+            { cg; expected_free = !expected_free; found_free }
+          :: !problems
+    done;
+    !problems
+  in
+  let reported =
+    List.filter
+      (function Report.Block_bitmap_mismatch _ -> true | _ -> false)
+      (Fsck_cffs.check fs).Report.problems
+  in
+  check Alcotest.int "both groups mismatch" 2 (List.length oracle);
+  check Alcotest.bool "same reports as the per-block loop" true (reported = oracle)
+
 (* ------------------------------------------------------------------ *)
 (* Crash injection *)
 
@@ -597,6 +668,8 @@ let () =
           Alcotest.test_case "dangling external" `Quick test_cffs_detects_dangling_external;
           Alcotest.test_case "orphan external" `Quick test_cffs_repairs_orphan_external;
           Alcotest.test_case "bitmap mismatch" `Quick test_cffs_repairs_bitmap;
+          Alcotest.test_case "bitmap counts match the per-block loop" `Quick
+            test_cffs_bitmap_count_matches_loop;
         ] );
       ( "fault layer",
         [

@@ -160,6 +160,87 @@ let prop_remap_persistence =
        ~name:"remaps + power cut preserve acknowledged contents"
        QCheck.small_nat remap_persistence)
 
+(* --- Crash sweep over a checksum-region write-back -------------------- *)
+
+(* An integrity-formatted, journaled C-FFS syncs twice; power is cut at
+   every request boundary of the second sync, and each request is also
+   torn halfway.  The fault journal starts before format, so a
+   materialized image carries blocks only and attaching it is cold: the
+   tags come from the at-rest region.  Every data block's loaded tag must
+   be the one the first or the second sync left at rest, and every file
+   the first sync acknowledged must read back with no checksum failure. *)
+let test_region_writeback_crash_sweep () =
+  let dev = Blockdev.memory ~block_size:4096 ~nblocks:4096 in
+  let fdev = Faultdev.attach dev in
+  let fs = Cffs.format ~integrity:true ~policy:Cache.Journaled dev in
+  let data_blocks = Integrity.data_blocks (Option.get (Cffs.integrity fs)) in
+  let prng = Prng.create 15 in
+  List.iter (fun d -> ok (Cffs.mkdir fs d)) [ "/d0"; "/d1"; "/d2" ];
+  let batch name n =
+    List.init n (fun i ->
+        let path = Printf.sprintf "/d%d/%s%02d" (i mod 3) name i in
+        let data = Prng.bytes prng (512 + Prng.int prng 6000) in
+        ok (Cffs.write_file fs path data);
+        (path, data))
+  in
+  let first = batch "a" 30 in
+  Cffs.sync fs;
+  Faultdev.barrier fdev;
+  let j1 = Faultdev.journal_length fdev in
+  ignore (batch "b" 30);
+  let s0 = Registry.snapshot () in
+  Cffs.sync fs;
+  let d = Registry.diff (Registry.snapshot ()) s0 in
+  check Alcotest.int "one region write-back in the second sync" 1
+    (Registry.get_counter d "integrity.tag_flushes");
+  check Alcotest.bool "of several requests" true
+    (Registry.get_counter d "integrity.region_requests" >= 2);
+  let j2 = Faultdev.journal_length fdev in
+  let cold_tags img what =
+    if Blockdev.tags_enabled img then Alcotest.failf "%s: image has live tags" what;
+    match Integrity.attach img with
+    | None -> Alcotest.failf "%s: image does not attach" what
+    | Some _ -> Array.init data_blocks (Blockdev.tag img)
+  in
+  let at_rest upto = cold_tags (Faultdev.materialize fdev ~upto) "sync" in
+  let t1 = at_rest j1 and t2 = at_rest j2 in
+  check Alcotest.bool "the second sync changed tags at rest" true (t1 <> t2);
+  let crash ?tear upto what =
+    let img = Faultdev.materialize ?tear fdev ~upto in
+    let tags = cold_tags img what in
+    Array.iteri
+      (fun blk v ->
+        if v <> t1.(blk) && v <> t2.(blk) then
+          Alcotest.failf "%s: block %d has a tag from neither sync" what blk)
+      tags;
+    match Cffs.mount ~policy:Cache.Journaled img with
+    | None -> Alcotest.failf "%s: unmountable" what
+    | Some fs2 ->
+        let s = Registry.snapshot () in
+        List.iter
+          (fun (path, data) ->
+            match Cffs.read_file fs2 path with
+            | Ok got when Bytes.equal got data -> ()
+            | Ok _ -> Alcotest.failf "%s: %s corrupted" what path
+            | Error e ->
+                Alcotest.failf "%s: %s lost (%s)" what path
+                  (Cffs_vfs.Errno.to_string e))
+          first;
+        check Alcotest.int
+          (what ^ ": no checksum failures")
+          0
+          (Registry.get_counter
+             (Registry.diff (Registry.snapshot ()) s)
+             "integrity.checksum_failures")
+  in
+  List.iter
+    (fun (e : Faultdev.entry) ->
+      crash e.seq (Printf.sprintf "cut before request %d" e.seq);
+      crash ~tear:(Faultdev.entry_sectors fdev e / 2) e.seq
+        (Printf.sprintf "request %d torn" e.seq))
+    (Faultdev.journal fdev);
+  crash j2 "after the sync"
+
 (* --- Telemetry contract ---------------------------------------------- *)
 
 let test_telemetry_integrity_counters () =
@@ -176,6 +257,9 @@ let test_telemetry_integrity_counters () =
               "integrity.checksum_failures";
               "integrity.remaps";
               "integrity.degraded_reads";
+              "integrity.tag_flushes";
+              "integrity.region_writes";
+              "integrity.region_requests";
               "scrub.blocks_verified";
             ]
       | _ -> Alcotest.fail "document has no integrity section")
@@ -195,6 +279,8 @@ let () =
           Alcotest.test_case "power cut at every boundary of a regroup pass"
             `Quick test_regroup_cut_no_tear;
           prop_remap_persistence;
+          Alcotest.test_case "power cut at every request of a region write-back"
+            `Quick test_region_writeback_crash_sweep;
         ] );
       ( "telemetry",
         [
